@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from repro.ml.base import Estimator, check_Xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, NodeTable
 from repro.obs.metrics import get_metrics
 from repro.runtime import parallel_map
 
@@ -71,6 +71,7 @@ class RandomForestClassifier(Estimator):
         self.trees_: Optional[list[DecisionTreeClassifier]] = None
         self.classes_: Optional[np.ndarray] = None
         self.feature_importances_: Optional[np.ndarray] = None
+        self._table: Optional[NodeTable] = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         with get_metrics().span("ml.forest.fit"):
@@ -80,6 +81,7 @@ class RandomForestClassifier(Estimator):
         X, y = check_Xy(X, y)
         rng = np.random.default_rng(self.random_state)
         self.classes_ = np.unique(y)
+        self._table = None
         n = X.shape[0]
         # All per-tree randomness is drawn up front, in the sequential
         # draw order, so fanning the fits out cannot change the forest.
@@ -115,21 +117,16 @@ class RandomForestClassifier(Estimator):
         return self
 
     def predict_proba(self, X) -> np.ndarray:
-        """Average of per-tree leaf distributions, aligned to ``classes_``."""
+        """Average of the trees' leaf distributions over ``classes_``."""
         with get_metrics().span("ml.forest.predict"):
             return self._predict_proba(X)
 
     def _predict_proba(self, X) -> np.ndarray:
         self._require_fitted("trees_")
         X, _ = check_Xy(X)
-        out = np.zeros((X.shape[0], len(self.classes_)))
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for tree in self.trees_:
-            proba = tree.predict_proba(X)
-            for j, cls in enumerate(tree.classes_):
-                out[:, class_index[cls]] += proba[:, j]
-        out /= len(self.trees_)
-        return out
+        if self._table is None:
+            self._table = NodeTable(self.trees_, self.classes_)
+        return self._table.predict_proba(X)
 
     def predict(self, X) -> np.ndarray:
         proba = self.predict_proba(X)

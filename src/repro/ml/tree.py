@@ -124,7 +124,7 @@ class DecisionTreeClassifier(Estimator):
         self.root_: Optional[_Node] = None
         self.feature_importances_: Optional[np.ndarray] = None
         self._n_features = 0
-        self._flat: Optional[tuple] = None
+        self._table: Optional[NodeTable] = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -139,7 +139,7 @@ class DecisionTreeClassifier(Estimator):
         self._impurity = _IMPURITIES[self.criterion]
         self._rng = np.random.default_rng(self.random_state)
         self._importance_raw = np.zeros(self._n_features)
-        self._flat = None
+        self._table = None
         if self.splitter == "bruteforce":
             self.root_ = self._grow(X, y_encoded, depth=0)
         else:
@@ -345,65 +345,9 @@ class DecisionTreeClassifier(Estimator):
     def _predict_proba(self, X) -> np.ndarray:
         self._require_fitted("root_")
         X, _ = check_Xy(X)
-        feat, thr, left, right, proba = self._flat_arrays()
-        node_idx = np.zeros(X.shape[0], dtype=np.intp)
-        # Level-synchronous routing: every still-undecided row advances one
-        # tree level per iteration instead of a Python walk per row.
-        while True:
-            f = feat[node_idx]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                break
-            at = node_idx[active]
-            go_left = X[active, f[active]] <= thr[at]
-            node_idx[active] = np.where(go_left, left[at], right[at])
-        return proba[node_idx]
-
-    def _flat_arrays(self) -> tuple:
-        """Flatten the node tree into routing arrays (cached per fit)."""
-        if self._flat is None:
-            nodes: list[_Node] = [self.root_]
-            feat: list[int] = []
-            thr: list[float] = []
-            left: list[int] = []
-            right: list[int] = []
-            i = 0
-            while i < len(nodes):
-                node = nodes[i]
-                if node.is_leaf:
-                    feat.append(-1)
-                    thr.append(0.0)
-                    left.append(i)
-                    right.append(i)
-                else:
-                    feat.append(node.feature)
-                    thr.append(node.threshold)
-                    left.append(len(nodes))
-                    nodes.append(node.left)
-                    right.append(len(nodes))
-                    nodes.append(node.right)
-                i += 1
-            proba = np.empty((len(nodes), len(self.classes_)))
-            # An empty child (possible when a midpoint threshold collides
-            # with the next value) has an all-zero histogram; dividing
-            # yields the same NaN row the per-row walk would produce.
-            with np.errstate(invalid="ignore", divide="ignore"):
-                for idx, node in enumerate(nodes):
-                    proba[idx] = node.class_counts / node.class_counts.sum()
-            self._flat = (
-                np.array(feat, dtype=np.intp),
-                np.array(thr, dtype=float),
-                np.array(left, dtype=np.intp),
-                np.array(right, dtype=np.intp),
-                proba,
-            )
-        return self._flat
-
-    def _leaf_counts(self, row: np.ndarray) -> np.ndarray:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.class_counts
+        if self._table is None:
+            self._table = NodeTable([self], self.classes_)
+        return self._table.predict_proba(X)
 
     def depth(self) -> int:
         """Actual depth of the grown tree (0 for a stump/leaf-only tree)."""
@@ -425,3 +369,64 @@ class DecisionTreeClassifier(Estimator):
             return 1 + walk(node.left) + walk(node.right)
 
         return walk(self.root_)
+
+
+class NodeTable:
+    """Fitted trees compiled into one flat node table.
+
+    The nodes of every tree are concatenated, each tree breadth-first.
+    Node ``i`` sends a row to ``children[i, 0]`` when ``row[feature[i]] <=
+    threshold[i]`` and to ``children[i, 1]`` otherwise; a leaf is its own
+    child on both sides, so routing every (row, tree) pair for ``depth``
+    levels parks each pair on its leaf.  ``proba[i]`` is the node's class
+    distribution over the table's ``classes``, zero in the columns of
+    classes its tree never saw.  A tree predicts as a table of one.
+    """
+
+    def __init__(self, trees: list[DecisionTreeClassifier], classes: np.ndarray):
+        column = {c: j for j, c in enumerate(classes)}
+        nodes: list[_Node] = []
+        children: list[tuple[int, int]] = []
+        blocks: list[np.ndarray] = []
+        self.roots = np.empty(len(trees), dtype=np.intp)
+        for t, tree in enumerate(trees):
+            self.roots[t] = base = len(nodes)
+            bfs = [tree.root_]
+            for i, node in enumerate(bfs, base):  # grows while iterated
+                if node.is_leaf:
+                    children.append((i, i))
+                else:
+                    children.append((base + len(bfs), base + len(bfs) + 1))
+                    bfs += (node.left, node.right)
+            nodes += bfs
+            counts = np.array([node.class_counts for node in bfs])
+            blocks.append(np.zeros((len(counts), len(classes))))
+            # An empty child (possible when a midpoint threshold collides
+            # with the next value) has an all-zero histogram: a NaN row.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                blocks[-1][:, [column[c] for c in tree.classes_]] = (
+                    counts / counts.sum(axis=1, keepdims=True)
+                )
+        self.depth = max(tree.depth() for tree in trees)
+        self.feature = np.array([max(node.feature, 0) for node in nodes], dtype=np.intp)
+        self.threshold = np.array([node.threshold for node in nodes])
+        self.children = np.array(children, dtype=np.intp)
+        self.proba = np.concatenate(blocks)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Mean leaf distribution per row of a validated ``X``."""
+        n, n_features = X.shape
+        n_trees = len(self.roots)
+        # Pair p = t * n + r routes row r through tree t, all pairs
+        # advancing one level per iteration.
+        node = np.repeat(self.roots, n)
+        offset = np.tile(np.arange(n) * n_features, n_trees)
+        flat = X.ravel()
+        for _ in range(self.depth):
+            right = flat[offset + self.feature[node]] > self.threshold[node]
+            node = self.children[node, right.astype(np.intp)]
+        # accumulate adds sequentially in tree order, so the sum is bitwise
+        # the one a per-tree ``out += proba`` loop produces.
+        leaves = self.proba[node].reshape(n_trees, n, -1)
+        np.add.accumulate(leaves, axis=0, out=leaves)
+        return leaves[-1] / n_trees

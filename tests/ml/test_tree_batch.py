@@ -3,13 +3,15 @@
 The vectorised splitter must produce the *identical* tree — structure,
 thresholds, importances, probabilities — to the reference O(n²) scan,
 including tie-breaks between equal-gain splits and duplicated feature
-values.  The flat level-synchronous predict must match a per-row walk.
+values.  The compiled node-table predict must match the frozen per-row
+walk in ``tests.reference.forest_walk``.
 """
 
 import numpy as np
 import pytest
 
 from repro.ml.tree import DecisionTreeClassifier
+from tests.reference.forest_walk import leaf_counts
 
 
 def make_data(rng, n=120, n_features=6, n_classes=3, quantize=None):
@@ -92,7 +94,7 @@ class TestBatchPredict:
         X_test = rng.normal(size=(300, X.shape[1]))
         batch = tree.predict_proba(X_test)
         for i in range(len(X_test)):
-            counts = tree._leaf_counts(X_test[i])
+            counts = leaf_counts(tree, X_test[i])
             expected = counts / counts.sum()
             np.testing.assert_array_equal(batch[i], expected)
 
@@ -113,7 +115,7 @@ class TestBatchPredict:
         tree.fit(X2, y2)
         second = tree.predict_proba(X2)
         assert first.shape == second.shape
-        # Refit on fresh data must not serve the stale flat table.
+        # Refit on fresh data must not serve the stale node table.
         for i in range(len(X2)):
-            counts = tree._leaf_counts(X2[i])
+            counts = leaf_counts(tree, X2[i])
             np.testing.assert_array_equal(second[i], counts / counts.sum())

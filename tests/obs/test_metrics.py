@@ -149,7 +149,6 @@ class TestGlobalRegistry:
         registry = MetricsRegistry()
         with use_metrics(registry):
             trained_forest.predict(main_dataset.feature_matrix()[:5])
+        # One span per forest predict: the trees run as one compiled table.
+        assert set(registry.spans()) == {"ml.forest.predict"}
         assert registry.histogram("ml.forest.predict").count == 1
-        assert registry.histogram("ml.tree.predict").count == len(
-            trained_forest.trees_
-        )
