@@ -89,7 +89,9 @@ def run_benchmarks(scale: str, repeats: int, workers: int) -> dict:
     point = OperatingPoint(5e-3, 2e-3, flow_duration_s=0.5)
 
     def grid_point():
-        grid._model_cache.clear()  # time training + replay, not the cache
+        # time training + replay, not the caches
+        grid._model_cache.clear()
+        grid._forest_cache.clear()
         return grid.run_point(point)
 
     grid_point_s, _ = _best_of(repeats, grid_point)

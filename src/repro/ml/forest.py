@@ -4,32 +4,20 @@ The paper's best model (98 % 5-fold CV accuracy, 88 % cross-building).
 Gini importances — the normalised, tree-averaged impurity decrease each
 feature contributes — reproduce Table 3.
 
-Tree fitting goes through :func:`repro.runtime.parallel_map`: every
-tree's (seed, bootstrap indices) pair is drawn **sequentially** from the
-master RNG first — the exact draw order the sequential implementation
-used — and only the fits fan out, so the forest is byte-identical at
-every worker count.
+Every tree's (seed, bootstrap indices) pair is drawn from the master RNG
+in tree order; the bootstrap becomes the tree's integer row weights, and
+one :func:`repro.ml.tree.grow_forest` call grows all trees in lockstep.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from repro.ml.base import Estimator, check_Xy
-from repro.ml.tree import DecisionTreeClassifier, NodeTable
+from repro.ml.tree import DecisionTreeClassifier, NodeTable, grow_forest
 from repro.obs.metrics import get_metrics
-from repro.runtime import parallel_map
-
-
-def _fit_tree(item, metrics, recorder, *, X, y, params) -> DecisionTreeClassifier:
-    """Runtime task: fit one tree from its precomputed (seed, indices)."""
-    seed, indices = item
-    tree = DecisionTreeClassifier(random_state=seed, **params)
-    tree.fit(X[indices], y[indices])
-    return tree
 
 
 class RandomForestClassifier(Estimator):
@@ -41,8 +29,6 @@ class RandomForestClassifier(Estimator):
         max_features: Per-split feature subsample (default ``"sqrt"``).
         bootstrap: Draw each tree's training set with replacement.
         random_state: Master seed; per-tree seeds derive from it.
-        n_jobs: Worker processes for tree fitting (1 = inline).  The
-            fitted forest does not depend on this value.
     """
 
     def __init__(
@@ -54,12 +40,9 @@ class RandomForestClassifier(Estimator):
         max_features: int | str | None = "sqrt",
         bootstrap: bool = True,
         random_state: Optional[int] = None,
-        n_jobs: int = 1,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.criterion = criterion
@@ -67,7 +50,6 @@ class RandomForestClassifier(Estimator):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.random_state = random_state
-        self.n_jobs = n_jobs
         self.trees_: Optional[list[DecisionTreeClassifier]] = None
         self.classes_: Optional[np.ndarray] = None
         self.feature_importances_: Optional[np.ndarray] = None
@@ -83,30 +65,21 @@ class RandomForestClassifier(Estimator):
         self.classes_ = np.unique(y)
         self._table = None
         n = X.shape[0]
-        # All per-tree randomness is drawn up front, in the sequential
-        # draw order, so fanning the fits out cannot change the forest.
-        draws: list[tuple[int, np.ndarray]] = []
-        for _ in range(self.n_estimators):
+        trees = []
+        weights = np.ones((self.n_estimators, n), dtype=np.int32)
+        for t in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
             if self.bootstrap:
-                indices = rng.integers(0, n, size=n)
-            else:
-                indices = np.arange(n)
-            draws.append((seed, indices))
-        task = functools.partial(
-            _fit_tree,
-            X=X,
-            y=y,
-            params=dict(
+                weights[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            trees.append(DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 criterion=self.criterion,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
-            ),
-        )
-        self.trees_ = parallel_map(
-            task, draws, workers=self.n_jobs, metrics=get_metrics()
-        )
+                random_state=seed,
+            ))
+        grow_forest(trees, X, y, weights)
+        self.trees_ = trees
         importances = np.zeros(X.shape[1])
         for tree in self.trees_:
             # Trees may have seen a label subset; align importance directly

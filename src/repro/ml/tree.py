@@ -12,21 +12,17 @@ A standard binary classification/regression-tree classifier:
   tree powers the random forest;
 * accumulated impurity decrease per feature → Gini importances (Table 3).
 
-Two splitters grow identical trees:
-
-* ``"presort"`` (default) sorts each feature once per fit and keeps the
-  per-feature sorted row order alive down the tree by partitioning it at
-  every split.  All candidate thresholds of all candidate features are
-  scored in a single NumPy pass using one-hot label prefix sums, so a
-  node costs O(n·k·c) vectorised work instead of a Python loop per
-  candidate.
-* ``"bruteforce"`` is the original per-candidate Python loop, kept as the
-  reference implementation the fast path is tested against.
-
-The fast path replicates the reference arithmetic operation for
-operation (same division order, same impurity formula, same strict-``>``
-first-win tie-break), so both splitters pick identical splits on
-identical data.
+Every fit goes through one grower, :func:`grow_forest`, which grows all
+trees of a forest in lockstep; a tree is a forest of one.  ``X`` is
+argsorted once per feature for the whole forest, and a tree's bootstrap
+is an integer weight per row.  A split can only fall between distinct
+values, and the prefix class counts there are the same integers whether
+a duplicated row is repeated or weighted, so each tree is the one a
+recursive per-tree fit on its bootstrapped copy of the rows would grow:
+same gains (same division order and impurity formula), same first-win
+tie-breaks, same thresholds.  Unseen classes add zero terms to the
+impurity sums, which leaves them unchanged while NumPy sums the class
+terms sequentially (fewer than 8 classes).
 """
 
 from __future__ import annotations
@@ -39,6 +35,12 @@ import numpy as np
 
 from repro.ml.base import Estimator, check_Xy
 from repro.obs.metrics import get_metrics
+
+_CRITERIA = ("gini", "entropy")
+
+_MAX_BATCH_ROWS = 4096
+"""Candidate rows scored by one batched split search; a step's search
+over more rows runs in chunks, which bounds the grower's scratch memory."""
 
 
 @dataclass
@@ -56,27 +58,6 @@ class _Node:
         return self.left is None
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return 1.0 - float(np.sum(p * p))
-
-
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return -float(np.sum(p * np.log2(p)))
-
-
-_IMPURITIES = {"gini": _gini, "entropy": _entropy}
-
-_SPLITTERS = ("presort", "bruteforce")
-
-
 class DecisionTreeClassifier(Estimator):
     """CART classifier.
 
@@ -89,8 +70,6 @@ class DecisionTreeClassifier(Estimator):
         max_features: Per-split feature subsample size — ``None`` (all),
             an int, or ``"sqrt"``.  Random forests pass ``"sqrt"``.
         random_state: Seed for feature subsampling.
-        splitter: ``"presort"`` (vectorised, default) or ``"bruteforce"``
-            (reference per-candidate loop); both grow identical trees.
     """
 
     def __init__(
@@ -101,25 +80,23 @@ class DecisionTreeClassifier(Estimator):
         min_samples_leaf: int = 1,
         max_features: int | str | None = None,
         random_state: Optional[int] = None,
-        splitter: str = "presort",
     ):
-        if criterion not in _IMPURITIES:
-            raise ValueError(f"criterion must be one of {sorted(_IMPURITIES)}")
-        if splitter not in _SPLITTERS:
-            raise ValueError(f"splitter must be one of {_SPLITTERS}")
+        if criterion not in _CRITERIA:
+            raise ValueError(f"criterion must be one of {sorted(_CRITERIA)}")
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if isinstance(max_features, int) and max_features < 1:
+            raise ValueError("max_features must be >= 1")
         self.max_depth = max_depth
         self.criterion = criterion
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.splitter = splitter
         self.classes_: Optional[np.ndarray] = None
         self.root_: Optional[_Node] = None
         self.feature_importances_: Optional[np.ndarray] = None
@@ -134,36 +111,7 @@ class DecisionTreeClassifier(Estimator):
 
     def _fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_Xy(X, y)
-        self.classes_, y_encoded = np.unique(y, return_inverse=True)
-        self._n_features = X.shape[1]
-        self._impurity = _IMPURITIES[self.criterion]
-        self._rng = np.random.default_rng(self.random_state)
-        self._importance_raw = np.zeros(self._n_features)
-        self._table = None
-        if self.splitter == "bruteforce":
-            self.root_ = self._grow(X, y_encoded, depth=0)
-        else:
-            self._y = y_encoded
-            self._n_total = X.shape[0]
-            self._n_classes = len(self.classes_)
-            onehot = np.zeros((self._n_total, self._n_classes), dtype=np.int64)
-            onehot[np.arange(self._n_total), y_encoded] = 1
-            self._onehot = onehot
-            # One stable sort per feature for the whole fit; children
-            # inherit sorted order by partitioning (stable, so ties keep
-            # ascending original-row order — exactly what a per-node
-            # stable argsort of the subset would produce).
-            order = np.argsort(X, axis=0, kind="stable")
-            cols = np.ascontiguousarray(order.T)
-            vals = np.ascontiguousarray(np.take_along_axis(X, order, axis=0).T)
-            try:
-                self.root_ = self._grow_fast(cols, vals, depth=0)
-            finally:
-                del self._y, self._onehot
-        total = self._importance_raw.sum()
-        self.feature_importances_ = (
-            self._importance_raw / total if total > 0 else self._importance_raw.copy()
-        )
+        grow_forest([self], X, y, np.ones((1, X.shape[0]), dtype=np.int32))
         return self
 
     def _features_for_split(self) -> np.ndarray:
@@ -174,163 +122,6 @@ class DecisionTreeClassifier(Estimator):
         else:
             k = min(int(self.max_features), self._n_features)
         return self._rng.choice(self._n_features, size=k, replace=False)
-
-    # -- fitting: vectorised presort splitter ------------------------------
-
-    def _grow_fast(self, cols: np.ndarray, vals: np.ndarray, depth: int) -> _Node:
-        """Grow a subtree from per-feature sorted row indices/values.
-
-        ``cols[f]`` lists this node's rows (indices into the fit arrays)
-        sorted by feature ``f``; ``vals[f]`` is the matching sorted values.
-        """
-        n_node = cols.shape[1]
-        counts = np.bincount(self._y[cols[0]], minlength=self._n_classes)
-        node = _Node(class_counts=counts)
-        if (
-            n_node < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == n_node  # pure node
-        ):
-            return node
-        split = self._best_split_fast(cols, vals, counts)
-        if split is None:
-            return node
-        feature, threshold, gain = split
-        self._importance_raw[feature] += gain * n_node
-        node.feature = feature
-        node.threshold = threshold
-        # ``vals[feature]`` is sorted, so the rows with value <= threshold
-        # are exactly a prefix of that feature's order.
-        j = int(np.searchsorted(vals[feature], threshold, side="right"))
-        member = np.zeros(self._n_total, dtype=bool)
-        member[cols[feature, :j]] = True
-        mask = member[cols]
-        n_f = cols.shape[0]
-        node.left = self._grow_fast(
-            cols[mask].reshape(n_f, j), vals[mask].reshape(n_f, j), depth + 1
-        )
-        inv = ~mask
-        node.right = self._grow_fast(
-            cols[inv].reshape(n_f, n_node - j),
-            vals[inv].reshape(n_f, n_node - j),
-            depth + 1,
-        )
-        node.class_counts = counts
-        return node
-
-    def _best_split_fast(
-        self, cols: np.ndarray, vals: np.ndarray, parent_counts: np.ndarray
-    ) -> Optional[tuple[int, float, float]]:
-        """Vectorised split search: all thresholds of all candidate
-        features scored in one pass via one-hot label prefix sums."""
-        parent_impurity = self._impurity(parent_counts)
-        n = cols.shape[1]
-        features = self._features_for_split()
-        sub_vals = vals[features]  # (c, n)
-        # Prefix class counts: left[c, i] = class histogram of the first
-        # i+1 rows in feature c's sorted order (candidate "split after i").
-        onehot = self._onehot[cols[features]]  # (c, n, k)
-        left = np.cumsum(onehot[:, :-1, :], axis=1)  # (c, n-1, k)
-        right = parent_counts[None, None, :] - left
-        n_left = np.arange(1, n)
-        n_right = n - n_left
-        size_ok = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-        valid = (sub_vals[:, :-1] != sub_vals[:, 1:]) & size_ok[None, :]
-        if not valid.any():
-            return None
-        il = self._impurity_rows(left, n_left)
-        ir = self._impurity_rows(right, n_right)
-        gains = parent_impurity - (n_left / n * il + n_right / n * ir)
-        gains = np.where(valid, gains, -np.inf)
-        # argmax takes the first maximum per feature, and features are
-        # compared in draw order with a strict ``>`` — the same first-win
-        # tie-break as the bruteforce scan.
-        arg = np.argmax(gains, axis=1)
-        best: Optional[tuple[int, float, float]] = None
-        best_gain = 1e-12  # require strictly positive improvement
-        for c in range(len(features)):
-            i = int(arg[c])
-            gain = float(gains[c, i])
-            if gain > best_gain:
-                threshold = float((sub_vals[c, i] + sub_vals[c, i + 1]) / 2.0)
-                best_gain = gain
-                best = (int(features[c]), threshold, gain)
-        return best
-
-    def _impurity_rows(self, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-        """Row-wise impurity of ``counts`` (..., n, k) with ``totals`` (n,).
-
-        Matches :func:`_gini` / :func:`_entropy` arithmetic exactly:
-        ``p = counts / total`` first, then the impurity sum over classes.
-        """
-        denom = totals[:, None]
-        if self.criterion == "gini":
-            p = counts / denom
-            return 1.0 - np.sum(p * p, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = counts / denom
-            plogp = np.where(counts > 0, p * np.log2(p), 0.0)
-        return -np.sum(plogp, axis=-1)
-
-    # -- fitting: reference bruteforce splitter ----------------------------
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        counts = np.bincount(y, minlength=len(self.classes_))
-        node = _Node(class_counts=counts)
-        if (
-            len(y) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == len(y)  # pure node
-        ):
-            return node
-        split = self._best_split(X, y, counts)
-        if split is None:
-            return node
-        feature, threshold, gain, left_mask = split
-        self._importance_raw[feature] += gain * len(y)
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[left_mask], y[left_mask], depth + 1)
-        node.right = self._grow(X[~left_mask], y[~left_mask], depth + 1)
-        node.class_counts = counts
-        return node
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, parent_counts: np.ndarray
-    ) -> Optional[tuple[int, float, float, np.ndarray]]:
-        """The (feature, threshold) with the largest impurity decrease.
-
-        Uses the sorted-prefix trick: walking the sorted column once, class
-        counts on the left side accumulate incrementally, so each candidate
-        threshold is O(n_classes) instead of O(n).
-        """
-        parent_impurity = self._impurity(parent_counts)
-        n = len(y)
-        best: Optional[tuple[int, float, float, np.ndarray]] = None
-        best_gain = 1e-12  # require strictly positive improvement
-        for feature in self._features_for_split():
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = y[order]
-            left_counts = np.zeros_like(parent_counts)
-            for i in range(n - 1):
-                left_counts[labels[i]] += 1
-                if values[i] == values[i + 1]:
-                    continue  # cannot split between equal values
-                n_left = i + 1
-                n_right = n - n_left
-                if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
-                    continue
-                right_counts = parent_counts - left_counts
-                gain = parent_impurity - (
-                    n_left / n * self._impurity(left_counts)
-                    + n_right / n * self._impurity(right_counts)
-                )
-                if gain > best_gain:
-                    threshold = (values[i] + values[i + 1]) / 2.0
-                    best_gain = gain
-                    best = (feature, threshold, gain, X[:, feature] <= threshold)
-        return best
 
     # -- inference ---------------------------------------------------------
 
@@ -369,6 +160,312 @@ class DecisionTreeClassifier(Estimator):
             return 1 + walk(node.left) + walk(node.right)
 
         return walk(self.root_)
+
+
+def grow_forest(
+    trees: list[DecisionTreeClassifier], X: np.ndarray, y: np.ndarray,
+    weights: np.ndarray,
+) -> None:
+    """Fit every tree of ``trees`` on the validated ``(X, y)`` in lockstep.
+
+    Tree ``t`` counts row ``r`` ``weights[t, r]`` times (an ``int32``
+    array; a bootstrap is ``bincount(indices)``).  The trees share their
+    hyper-parameters and differ in ``random_state`` and weights.
+
+    Each tree grows depth-first in preorder from its own stack of open
+    nodes.  Every step takes each unfinished tree's next open node,
+    draws its candidate features from that tree's RNG (so the draws
+    follow preorder, as in a recursive fit) and scores them all in one
+    batched search; then it partitions the split nodes' rows and opens
+    their children.
+
+    Raises:
+        ValueError: With ``max_depth=None``, on a split that leaves one
+            side empty when no feature draw can do otherwise at that node.
+            An empty side happens when the midpoint of two adjacent values
+            rounds to the upper one, so every row lands on the ``<=``
+            side.  The node's full child then has the node's rows; with
+            feature subsampling a later draw usually splits it another way
+            (the tree a recursive fit grows), but when every draw splits
+            it the same way the tree would grow forever.
+    """
+    params = trees[0]
+    grower = _Grower(params, X, y, weights)
+    n_features = X.shape[1]
+    counts, bounds = grower.counts, grower.bounds
+    seen = counts > 0
+    importance = np.zeros((len(trees), n_features))
+    stacks: list[list] = [[] for _ in trees]
+    # current[t]: tree t's open node as (node, start, end, depth,
+    # class counts), or None once the tree is done.
+    current: list = []
+    for t, (tree, is_open) in enumerate(zip(trees, grower.opens(counts, 0))):
+        tree.classes_ = grower.classes[seen[t]]
+        tree._n_features = n_features
+        tree._rng = np.random.default_rng(tree.random_state)
+        tree._table = None
+        tree.root_ = _Node(class_counts=counts[t, seen[t]])
+        root = (tree.root_, bounds[t], bounds[t + 1], 0, counts[t])
+        current.append(root if is_open else None)
+
+    while True:
+        active = [t for t in range(len(trees)) if current[t] is not None]
+        if not active:
+            break
+        nodes = [current[t] for t in active]
+        features = np.array([trees[t]._features_for_split() for t in active])
+        starts = np.array([node[1] for node in nodes])
+        sizes = np.array([node[2] - node[1] for node in nodes])
+        node_counts = np.array([node[4] for node in nodes])
+        totals = node_counts.sum(axis=1)
+        k = features.shape[1]
+        gains, lower, upper = grower.search(
+            tree=np.repeat(active, k),
+            feature=features.ravel(),
+            start=np.repeat(starts, k),
+            size=np.repeat(sizes, k),
+            counts=np.repeat(node_counts, k, axis=0),
+            total=np.repeat(totals, k),
+            impurity=np.repeat(_impurity(params.criterion, node_counts, totals), k),
+        )
+        # Features compete in draw order with a strict ``>``: the
+        # first maximum wins, and it must beat 1e-12.
+        gains = gains.reshape(-1, k)
+        pick = np.argmax(gains, axis=1)
+        best = gains[np.arange(len(active)), pick]
+        split = best > 1e-12
+        chosen = np.flatnonzero(split) * k + pick[split]
+        split_trees = np.array(active)[split]
+        split_features = features.ravel()[chosen]
+        thresholds = (lower[chosen] + upper[chosen]) / 2.0
+        importance[split_trees, split_features] += best[split] * totals[split]
+        left_sizes, child_counts = grower.partition(
+            split_trees, starts[split], sizes[split], split_features, thresholds
+        )
+        if params.max_depth is None:
+            # An empty side leaves the other child with the node's rows.
+            # A recursive fit grows that child like its parent; it
+            # ends once a fresh feature draw makes progress, and never
+            # when every draw must split the same way again.
+            empty = (child_counts.sum(axis=2) == 0).any(axis=1)
+            for i in np.flatnonzero(empty).tolist():
+                if grower.repeats_forever(
+                    split_trees[i], starts[split][i], sizes[split][i],
+                    node_counts[split][i], k,
+                ):
+                    raise ValueError(
+                        f"split on feature {split_features[i]} at the midpoint "
+                        f"of adjacent values {lower[chosen[i]]!r} and "
+                        f"{upper[chosen[i]]!r} rounds to {thresholds[i]!r} and "
+                        "leaves one side empty; with max_depth=None every "
+                        "feature draw would split the same rows forever"
+                    )
+        depths = np.array([node[3] for node in nodes])[split] + 1
+        children = zip(
+            split_features.tolist(), thresholds.tolist(),
+            (starts[split] + left_sizes).tolist(), child_counts,
+            grower.opens(child_counts, depths[:, None]).tolist(),
+        )
+        for t, (node, start, end, depth, _), is_split in zip(
+            active, nodes, split.tolist()
+        ):
+            stack = stacks[t]
+            if is_split:
+                feature, threshold, middle, child, child_open = next(children)
+                node.feature = feature
+                node.threshold = threshold
+                node.left = _Node(class_counts=child[0][seen[t]])
+                node.right = _Node(class_counts=child[1][seen[t]])
+                if child_open[1]:
+                    stack.append((node.right, middle, end, depth + 1, child[1]))
+                if child_open[0]:
+                    current[t] = (node.left, start, middle, depth + 1, child[0])
+                    continue
+            current[t] = stack.pop() if stack else None
+
+    for tree, raw in zip(trees, importance):
+        total = raw.sum()
+        tree.feature_importances_ = raw / total if total > 0 else raw.copy()
+
+
+class _Grower:
+    """The arrays one forest fit shares across its trees.
+
+    Shared: ``order``, each feature's rows sorted by value (flattened,
+    feature after feature), the matching ``values``, and ``position[f,
+    r]``, the index of row ``r`` in feature ``f``'s block of ``order``.
+    Per tree: its rows with a non-zero weight in one flat ``rows`` array,
+    where every open node owns a contiguous range.
+    """
+
+    def __init__(self, params: DecisionTreeClassifier, X, y, weights):
+        self.params = params
+        self.X = X
+        self.weights = weights
+        self.classes, self.codes = np.unique(y, return_inverse=True)
+        self.n_classes = len(self.classes)
+        n, n_features = X.shape
+        order = np.argsort(X, axis=0, kind="stable").T
+        self.values = np.take_along_axis(X.T, order, axis=1).ravel()
+        self.position = np.empty((n_features, n), dtype=np.intp)
+        np.put_along_axis(
+            self.position, order, np.arange(order.size).reshape(order.shape), axis=1
+        )
+        self.order = order.ravel()
+        onehot = np.eye(self.n_classes, dtype=np.int64)[self.codes]
+        self.counts = weights @ onehot  # each tree's root class counts
+        tree_of, self.rows = np.nonzero(weights)
+        self.bounds = np.searchsorted(tree_of, np.arange(len(weights) + 1))
+
+    def opens(self, counts: np.ndarray, depth) -> np.ndarray:
+        """Which nodes (class counts ``(..., n_classes)``) get a split search."""
+        total = counts.sum(axis=-1)
+        is_open = total >= self.params.min_samples_split
+        is_open &= counts.max(axis=-1) != total  # not pure
+        if self.params.max_depth is not None:
+            is_open &= depth < self.params.max_depth
+        return is_open
+
+    def search(
+        self, *, tree, feature, start, size, counts, total, impurity
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best split of each (node, feature) candidate pair.
+
+        Pair ``p`` scores feature ``feature[p]`` over the rows
+        ``rows[start[p]:start[p] + size[p]]`` of tree ``tree[p]``, a node
+        with class ``counts[p]``, weight ``total[p]`` and impurity
+        ``impurity[p]``.  Returns per pair the best gain (``-inf`` when no
+        split is valid) and the two adjacent values it falls between.
+        Pairs are scored in chunks of at most ``_MAX_BATCH_ROWS`` rows (a
+        larger pair runs alone).
+        """
+        n_pairs = len(tree)
+        gains = np.empty(n_pairs)
+        lower = np.empty(n_pairs)
+        upper = np.empty(n_pairs)
+        ends = np.cumsum(size)
+        p0 = 0
+        while p0 < n_pairs:
+            limit = (ends[p0 - 1] if p0 else 0) + _MAX_BATCH_ROWS
+            p1 = max(p0 + 1, int(np.searchsorted(ends, limit, "right")))
+            sizes = size[p0:p1]
+            firsts = np.cumsum(sizes) - sizes
+            pair = np.repeat(np.arange(p1 - p0), sizes)
+            node_rows = self.rows[_ranges(start[p0:p1], sizes)]
+            # Sorting (pair, position) keys puts each pair's rows in its
+            # feature's order; a pair's block stays where it was.
+            offset = pair * len(self.order)
+            key = self.position[feature[p0:p1][pair], node_rows] + offset
+            key.sort()
+            key -= offset
+            row = self.order[key]
+            value = self.values[key]
+            onehot = np.zeros((len(row), self.n_classes), dtype=np.int64)
+            onehot[np.arange(len(row)), self.codes[row]] = self.weights[
+                tree[p0:p1][pair], row
+            ]
+            # left[i]: class counts of the pair's rows up to and including
+            # i (candidate "split after i").
+            left = np.cumsum(onehot, axis=0)
+            before = np.zeros((p1 - p0, self.n_classes), dtype=np.int64)
+            before[1:] = left[firsts[1:] - 1]
+            left -= before[pair]
+            right = counts[p0:p1][pair] - left
+            n = total[p0:p1][pair]
+            n_left = left.sum(axis=1)
+            n_right = n - n_left
+            # A block's last row reads the next block's first value here,
+            # but it has n_right == 0, so it is never valid.
+            following = np.append(value[1:], value[-1])
+            valid = (
+                (value != following)
+                & (n_left >= self.params.min_samples_leaf)
+                & (n_right >= self.params.min_samples_leaf)
+            )
+            il = _impurity(self.params.criterion, left, n_left)
+            ir = _impurity(self.params.criterion, right, n_right)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = impurity[p0:p1][pair] - (n_left / n * il + n_right / n * ir)
+            gain = np.where(valid, gain, -np.inf)
+            # The first maximum of each pair's block.
+            hits = np.flatnonzero(gain == np.maximum.reduceat(gain, firsts)[pair])
+            first = hits[np.searchsorted(hits, firsts)]
+            gains[p0:p1] = gain[first]
+            lower[p0:p1] = value[first]
+            upper[p0:p1] = following[first]
+            p0 = p1
+        return gains, lower, upper
+
+    def repeats_forever(self, tree, start, size, counts, k) -> bool:
+        """Whether every draw of ``k`` features splits a node (tree
+        ``tree``, rows ``rows[start:start + size]``, class ``counts``) so
+        that one side is empty, with its rows all on the other side.
+
+        Without subsampling the draw is always the same.  A random draw
+        is any ordered ``k``-subset; it makes progress when its first
+        best feature splits the rows, or none of its gains beats 1e-12.
+        """
+        if self.params.max_features is None:
+            return True
+        n_features = self.X.shape[1]
+        total = counts.sum()
+        gains, lower, upper = self.search(
+            tree=np.full(n_features, tree),
+            feature=np.arange(n_features),
+            start=np.full(n_features, start),
+            size=np.full(n_features, size),
+            counts=np.tile(counts, (n_features, 1)),
+            total=np.full(n_features, total),
+            impurity=np.repeat(
+                _impurity(self.params.criterion, counts[None], total[None]), n_features
+            ),
+        )
+        splits = gains > 1e-12
+        top = self.X[self.rows[start:start + size]].max(axis=0)
+        stuck = splits & ((lower + upper) / 2.0 >= top)
+        gain = np.where(splits, gains, 0.0)
+        # A draw can put feature f first, then k - 1 features gaining no more.
+        n_not_more = (gain[None, :] <= gain[:, None]).sum(axis=1) - 1
+        return not (~stuck & (n_not_more >= k - 1)).any()
+
+    def partition(
+        self, trees, starts, sizes, features, thresholds
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Reorder each split node's rows so those with ``X[r, f] <=
+        threshold`` come first; return each node's left row count and its
+        children's class counts ``(m, 2, n_classes)``."""
+        positions = _ranges(starts, sizes)
+        node = np.repeat(np.arange(len(starts)), sizes)
+        node_rows = self.rows[positions]
+        goes_right = self.X[node_rows, features[node]] > thresholds[node]
+        side = 2 * node + goes_right
+        self.rows[positions] = node_rows[np.argsort(side, kind="stable")]
+        child_counts = np.bincount(
+            side * self.n_classes + self.codes[node_rows],
+            weights=self.weights[trees[node], node_rows],
+            minlength=2 * len(starts) * self.n_classes,
+        ).astype(np.int64).reshape(len(starts), 2, self.n_classes)
+        n_right = np.bincount(node, weights=goes_right, minlength=len(starts))
+        return sizes - n_right.astype(np.intp), child_counts
+
+
+def _impurity(criterion: str, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Row-wise impurity of class ``counts`` (m, k) with row ``totals`` (m,).
+
+    ``p = counts / total`` first, then the impurity sum over classes.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / totals[:, None]
+        if criterion == "gini":
+            return 1.0 - np.sum(p * p, axis=-1)
+        plogp = np.where(counts > 0, p * np.log2(p), 0.0)
+    return -np.sum(plogp, axis=-1)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + m) for s, m in zip(starts, sizes)])``."""
+    firsts = np.cumsum(sizes) - sizes
+    return np.arange(sizes.sum()) + np.repeat(starts - firsts, sizes)
 
 
 class NodeTable:

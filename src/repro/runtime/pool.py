@@ -45,7 +45,7 @@ def _run_in_worker(
     """Child-side wrapper: run one item under fresh observability sinks.
 
     The child registry is also installed as the process-wide default so
-    code that reaches for ``get_metrics()`` (e.g. ``ml.tree.fit`` spans)
+    code that reaches for ``get_metrics()`` (e.g. ``ml.forest.fit`` spans)
     lands in the same registry the parent will merge.
     """
     metrics = MetricsRegistry() if capture_metrics else NULL_METRICS

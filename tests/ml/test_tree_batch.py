@@ -1,10 +1,11 @@
-"""Presort split search and batch predict vs the bruteforce reference.
+"""Lockstep split search and batch predict vs the frozen per-tree references.
 
-The vectorised splitter must produce the *identical* tree — structure,
-thresholds, importances, probabilities — to the reference O(n²) scan,
-including tie-breaks between equal-gain splits and duplicated feature
-values.  The compiled node-table predict must match the frozen per-row
-walk in ``tests.reference.forest_walk``.
+The forest grower must produce the *identical* tree — structure,
+thresholds, importances, probabilities — to both splitters frozen in
+``tests.reference.tree_split``: the recursive presort search and the
+O(n²) bruteforce scan, including tie-breaks between equal-gain splits
+and duplicated feature values.  The compiled node-table predict must
+match the frozen per-row walk in ``tests.reference.forest_walk``.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.ml.tree import DecisionTreeClassifier
 from tests.reference.forest_walk import leaf_counts
+from tests.reference.tree_split import ReferenceTree
 
 
 def make_data(rng, n=120, n_features=6, n_classes=3, quantize=None):
@@ -48,42 +50,39 @@ class TestSplitterParity:
         for trial in range(8):
             X, y = make_data(rng, quantize=quantize)
             kwargs = dict(max_depth=8, criterion=criterion, random_state=trial)
-            fast = DecisionTreeClassifier(splitter="presort", **kwargs).fit(X, y)
-            slow = DecisionTreeClassifier(splitter="bruteforce", **kwargs).fit(X, y)
-            assert_same_tree(fast, slow)
+            tree = DecisionTreeClassifier(**kwargs).fit(X, y)
             X_test = rng.normal(size=(50, X.shape[1]))
-            np.testing.assert_array_equal(
-                fast.predict_proba(X_test), slow.predict_proba(X_test)
-            )
+            for splitter in ("presort", "bruteforce"):
+                reference = ReferenceTree(splitter=splitter, **kwargs).fit(X, y)
+                assert_same_tree(tree, reference)
+                np.testing.assert_array_equal(
+                    tree.predict_proba(X_test), reference.predict_proba(X_test)
+                )
 
     def test_max_features_uses_same_rng_stream(self):
-        """Feature subsampling draws must be identical across splitters."""
+        """Feature subsampling draws must follow the recursive preorder."""
         rng = np.random.default_rng(5)
         X, y = make_data(rng, n=200, n_features=8)
         kwargs = dict(max_depth=10, max_features="sqrt", random_state=0)
-        fast = DecisionTreeClassifier(splitter="presort", **kwargs).fit(X, y)
-        slow = DecisionTreeClassifier(splitter="bruteforce", **kwargs).fit(X, y)
-        assert_same_tree(fast, slow)
+        tree = DecisionTreeClassifier(**kwargs).fit(X, y)
+        for splitter in ("presort", "bruteforce"):
+            assert_same_tree(tree, ReferenceTree(splitter=splitter, **kwargs).fit(X, y))
 
     def test_min_samples_constraints(self):
         rng = np.random.default_rng(9)
         X, y = make_data(rng, n=80)
         kwargs = dict(min_samples_split=10, min_samples_leaf=5)
-        fast = DecisionTreeClassifier(splitter="presort", **kwargs).fit(X, y)
-        slow = DecisionTreeClassifier(splitter="bruteforce", **kwargs).fit(X, y)
-        assert_same_tree(fast, slow)
+        tree = DecisionTreeClassifier(**kwargs).fit(X, y)
+        for splitter in ("presort", "bruteforce"):
+            assert_same_tree(tree, ReferenceTree(splitter=splitter, **kwargs).fit(X, y))
 
     def test_constant_feature_and_pure_node(self):
         X = np.column_stack([np.ones(20), np.r_[np.zeros(10), np.ones(10)]])
         y = np.array(["a"] * 10 + ["b"] * 10, dtype=object)
-        fast = DecisionTreeClassifier(splitter="presort").fit(X, y)
-        slow = DecisionTreeClassifier(splitter="bruteforce").fit(X, y)
-        assert_same_tree(fast, slow)
-        assert fast.root_.feature == 1  # the only informative feature
-
-    def test_invalid_splitter_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(splitter="quicksort")
+        tree = DecisionTreeClassifier().fit(X, y)
+        for splitter in ("presort", "bruteforce"):
+            assert_same_tree(tree, ReferenceTree(splitter=splitter).fit(X, y))
+        assert tree.root_.feature == 1  # the only informative feature
 
 
 class TestBatchPredict:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.ml.forest import RandomForestClassifier
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -152,3 +153,12 @@ class TestGlobalRegistry:
         # One span per forest predict: the trees run as one compiled table.
         assert set(registry.spans()) == {"ml.forest.predict"}
         assert registry.histogram("ml.forest.predict").count == 1
+
+    def test_forest_fit_records_one_span(self, main_dataset):
+        registry = MetricsRegistry()
+        forest = RandomForestClassifier(n_estimators=5, max_depth=4, random_state=0)
+        with use_metrics(registry):
+            forest.fit(main_dataset.feature_matrix(), main_dataset.labels())
+        # The trees grow in lockstep inside the forest fit: no per-tree span.
+        assert set(registry.spans()) == {"ml.forest.fit"}
+        assert registry.histogram("ml.forest.fit").count == 1

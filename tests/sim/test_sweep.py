@@ -153,6 +153,38 @@ class TestEvaluationGrid:
         assert a is b
         assert a is not c
 
+    def test_points_with_equal_labels_share_one_forest(
+        self, main_dataset_with_na, testing_dataset
+    ):
+        from repro.obs.metrics import MetricsRegistry
+
+        # (0.5 ms, 2 ms) and (5 ms, 10 ms) relabel the campaign identically.
+        points = [
+            OperatingPoint(0.5e-3, 2e-3, flow_duration_s=0.2),
+            OperatingPoint(5e-3, 10e-3, flow_duration_s=0.2),
+        ]
+
+        def make_grid(**kwargs):
+            return EvaluationGrid(
+                main_dataset_with_na, testing_dataset, n_estimators=10, **kwargs
+            )
+
+        grid = make_grid(metrics=MetricsRegistry())
+        shared = grid.run(points)
+        first, second = (grid.libra_for(point) for point in points)
+        assert first is not second  # per-flow state stays per point
+        assert first.model is second.model
+        assert grid.metrics.histogram("sweep.train_libra").count == 1
+        for point, result in zip(points, shared):
+            alone = make_grid().run_point(point)  # a forest of its own
+            for gaps, expected in (
+                (result.byte_gaps_mb, alone.byte_gaps_mb),
+                (result.delay_gaps_ms, alone.delay_gaps_ms),
+            ):
+                assert gaps.keys() == expected.keys()
+                for policy in gaps:
+                    assert gaps[policy].tobytes() == expected[policy].tobytes()
+
     def test_run_many_points(self, grid):
         points = [OperatingPoint(0.5e-3, 2e-3), OperatingPoint(250e-3, 2e-3)]
         results = grid.run(points)
