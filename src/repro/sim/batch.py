@@ -1,13 +1,11 @@
-"""The batched §8 flow engine: vectorized replay over cached trajectories.
+"""The §8 flow engine: replay over cached, point-independent trajectories.
 
-:class:`BatchFlowSimulator` is a drop-in accelerator for
-:func:`repro.sim.engine.simulate_flow`: same inputs, same
-:class:`~repro.sim.engine.FlowResult` bytes, same trace events and
-metrics, different cost model.  The scalar engine walks every steady-state
-frame in a Python generator, separately for every (policy, action) pair —
-an entry replayed at one grid point executes roughly eleven of those walks
-(each oracle tries all three actions, then every policy replays its own).
-The batch engine instead:
+:class:`BatchFlowSimulator` is the one engine behind
+:func:`repro.sim.engine.simulate_flow`, the timeline and VR replays, the
+oracles and :class:`repro.sim.sweep.EvaluationGrid`.  An entry replayed at
+one grid point executes roughly eleven (policy, action) outcomes — each
+oracle scores all three actions, then every policy replays its own — so
+the engine:
 
 * pulls the entry's point-independent trajectories (repair ladders,
   steady-rate prefix/cycle profiles, observation bits) from a
@@ -15,8 +13,8 @@ The batch engine instead:
   points and persistable via :mod:`repro.checkpoint`;
 * converts a trajectory into per-point bytes with one NumPy elementwise
   multiply and a sequential ``cumsum`` — ``cumsum`` accumulates strictly
-  left-to-right, so the result is bit-identical to the scalar engine's
-  per-frame ``+=`` loop;
+  left-to-right, so the result is bit-identical to a per-frame ``+=``
+  walk over :class:`~repro.core.rate_adaptation.RateAdaptation`;
 * memoizes the three action outcomes per (entry, duration) so oracles and
   policies share them instead of recomputing;
 * accepts precomputed decisions (one ``decide_batch``/forest call for a
@@ -24,10 +22,10 @@ The batch engine instead:
   policies keep the sequential per-observation path, preserving call
   order and therefore injected-fault randomness.
 
-The scalar engine stays as the parity reference; the batched-vs-scalar
-test suite asserts byte identity across policies, operating points, fault
-plans, and the missing-ACK edge cases (see docs/performance.md for the
-contract).
+The scalar per-frame engine it replaced is frozen in
+``tests/reference/flow_engine.py``; the parity suites assert byte
+identity against it across policies, operating points, fault plans, and
+the missing-ACK edge cases (see docs/performance.md for the contract).
 """
 
 from __future__ import annotations
@@ -76,7 +74,12 @@ class BatchFlowSimulator:
         return self.cache.get(entry, self.metrics)
 
     def observation(self, entry: DatasetEntry) -> Observation:
-        """Equal to ``observation_from_entry(entry, self.config)``, memoized."""
+        """What the transmitter sees right after the impairment, memoized.
+
+        The ACK goes missing when the old pair's CDR at the current MCS is
+        (near) zero — no codeword of the frame decodes, so no Block ACK
+        returns and no fresh metrics arrive.
+        """
         trajectories = self.trajectories(entry)
         observation = self._observations.get(trajectories.fingerprint)
         if observation is None:
@@ -99,7 +102,7 @@ class BatchFlowSimulator:
         """Cumulative steady-state bytes after frames 1..n (bit-exact).
 
         ``cumsum`` output is defined element-by-element as the running sum,
-        so ``cum[k]`` equals the scalar ``total += rate · 1e6 / 8 · FAT``
+        so ``cum[k]`` equals a per-frame ``total += rate · 1e6 / 8 · FAT``
         loop after ``k + 1`` frames; prefixes of a longer cumsum are stable,
         so growing the memoized array never changes earlier values.
         """
@@ -143,7 +146,7 @@ class BatchFlowSimulator:
     def execute(
         self, entry: DatasetEntry, action: Action, duration_s: float
     ) -> FlowResult:
-        """``_execute_action`` replicated from the cache, memoized.
+        """Charge ``action``'s recovery procedure and the steady state after it.
 
         Returns a fresh :class:`FlowResult` per call (the dataclass is
         mutable); the memoized outcome is shared by the oracles' candidate
@@ -218,7 +221,12 @@ class BatchFlowSimulator:
     # -- oracle decisions from the memoized outcomes ------------------------
 
     def oracle_data_action(self, entry: DatasetEntry, duration_s: float) -> Action:
-        """``oracle_data_choice`` over the shared outcome memo."""
+        """The bytes-maximising action over the shared outcome memo.
+
+        NA is a candidate too (on a working link the right decision can be
+        not to adapt, LiBRA's third class, §7); ties prefer NA over RA over
+        BA, and NA never masks a dead link.
+        """
         na = self.execute(entry, Action.NA, duration_s)
         ra = self.execute(entry, Action.RA, duration_s)
         ba = self.execute(entry, Action.BA, duration_s)
@@ -231,7 +239,11 @@ class BatchFlowSimulator:
         return best_action
 
     def oracle_delay_action(self, entry: DatasetEntry, duration_s: float) -> Action:
-        """``oracle_delay_choice`` over the shared outcome memo."""
+        """The delay-minimising action over the shared outcome memo.
+
+        A working current MCS means zero recovery delay without adapting
+        (NA); otherwise RA and BA compete, ties broken toward more bytes.
+        """
         na = self.execute(entry, Action.NA, duration_s)
         if not na.link_died and na.bytes_delivered > 0.0:
             if self.observation(entry).current_mcs_working:
@@ -258,7 +270,7 @@ class BatchFlowSimulator:
         recorder: TraceRecorder = NULL_RECORDER,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> FlowResult:
-        """Drop-in, byte-identical replacement for ``simulate_flow``."""
+        """Simulate one flow that hits the entry's impairment at t = 0."""
         if duration_s <= 0:
             raise ValueError("flow duration must be positive")
         decision = self._decide_one(policy, entry, duration_s)
@@ -269,18 +281,18 @@ class BatchFlowSimulator:
     def _decide_one(
         self, policy: LinkAdaptationPolicy, entry: DatasetEntry, duration_s: float
     ) -> PolicyDecision:
-        """One policy decision, with the scalar engine's bind/retry semantics.
+        """One policy decision: bind oracles, retry a crash degraded.
 
         Plain (non-subclassed) oracles take the memoized fast path — their
-        scalar implementation re-executes every action from scratch.  Type
-        checks are exact so an oracle subclass with different behaviour
-        falls through to its own ``decide``.
+        own ``decide`` builds a fresh simulator per flow.  Type checks are
+        exact so an oracle subclass with different behaviour falls through
+        to its own ``decide``.
         """
         bind = getattr(policy, "bind", None)
         if bind is not None:  # oracles are clairvoyant: hand them the entry
             bind(entry, duration_s)
-        # An oracle constructed for a different config must keep consulting
-        # its own scalar machinery — the memoized outcomes are per-config.
+        # An oracle constructed for a different config must consult its own
+        # config — the memoized outcomes are per-config.
         if type(policy) is OracleData and policy.config == self.config:
             return PolicyDecision(
                 self.oracle_data_action(entry, duration_s), "clairvoyant"
@@ -293,8 +305,10 @@ class BatchFlowSimulator:
         try:
             return policy.decide(observation)
         except Exception as error:  # isolation boundary: a crashing policy must not kill the run
-            # Same counter, same registry as the scalar engine's handler —
-            # this path replays its semantics, evidence trail included.
+            # Count the degradation on the process-wide registry (never the
+            # per-call one, which parity suites compare), then retry with
+            # the feedback discarded — the degraded observation is the
+            # missing-ACK shape every policy must handle (§7).
             get_metrics().counter("sim.policy_decide_error").inc()
             rule = policy.decide(observation.degraded())
             return PolicyDecision(
@@ -313,7 +327,7 @@ class BatchFlowSimulator:
         recorder: TraceRecorder = NULL_RECORDER,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> FlowResult:
-        """The post-decision half of ``simulate_flow`` from the cache."""
+        """The post-decision half of :meth:`simulate`, from the cache."""
         if duration_s <= 0:
             raise ValueError("flow duration must be positive")
         observation = self.observation(entry)
@@ -339,8 +353,10 @@ class BatchFlowSimulator:
                 position=entry.position_label,
             )
         if action is Action.NA and not observation.current_mcs_working:
-            # ACK-timeout override, as in the scalar engine: one frame of
-            # silence, then the device default (RA).
+            # A policy that ignores a dead link would deliver nothing
+            # forever; every real device falls back once the ACK timeout
+            # fires.  Charge one frame of silence, then force the device's
+            # default (RA).
             inner = self.execute(
                 entry, Action.RA, max(duration_s - self.config.frame_time_s, 0.0)
             )
@@ -377,7 +393,7 @@ class BatchFlowSimulator:
     def _attach_repairs(
         self, trace: FlowEvent, entry: DatasetEntry, executed: Action
     ) -> None:
-        """Rebuild the scalar engine's repair ladder records for the event."""
+        """Record the executed repair ladder: pair, frames, settled MCS."""
         trajectories = self.trajectories(entry)
         if executed is Action.RA:
             ladder = trajectories.ladder_same
@@ -429,17 +445,17 @@ def batch_decisions(
     Dispatch, in order:
 
     * plain oracles — clairvoyant choices from the simulator's shared
-      outcome memo (bound per entry, exactly like the scalar loop);
+      outcome memo (bound per entry, exactly like :meth:`simulate`);
     * policies whose own class defines ``decide_batch`` — one batched call
       over the stacked observations (LiBRA's single forest predict).  The
       lookup goes through ``type(policy)``, never ``getattr`` on the
       instance, so a delegation wrapper (``FaultyPolicy.__getattr__``)
       cannot leak the wrapped policy's batch method around the injection
       layer;
-    * everything else — the sequential path with the scalar engine's
+    * everything else — the sequential path with :meth:`simulate`'s
       bind/decide/degraded-retry semantics, one observation at a time in
       entry order, which keeps stateful fault plans on the same RNG draws
-      as the scalar reference.
+      as a per-flow loop.
     """
     decide_batch = getattr(type(policy), "decide_batch", None)
     if (
@@ -453,7 +469,7 @@ def batch_decisions(
             if len(decisions) != len(entries):
                 raise ValueError("decision count mismatch")
             return decisions
-        except Exception:  # isolation boundary: fall back to the scalar semantics
+        except Exception:  # isolation boundary: fall back to per-flow decisions
             # Counted on the process-wide registry so a misbehaving batch
             # method is visible even though the run degrades gracefully.
             get_metrics().counter("sim.batch_decide_fallback").inc()

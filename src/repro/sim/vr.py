@@ -157,11 +157,14 @@ def profile_from_timeline(
     rates are scaled to the COTS ladder (§8.4).  A shared
     :class:`repro.sim.batch.BatchFlowSimulator` (same ``sim_config``) can
     be passed to replay the breaks from its trajectory cache — the Table 4
-    study runs 50 timelines over one pool of entries.
+    study runs 50 timelines over one pool of entries.  Without one, each
+    call builds its own.
     """
-    from repro.sim.engine import simulate_flow
+    if simulator is None:
+        from repro.sim.batch import BatchFlowSimulator
 
-    if simulator is not None and simulator.config != sim_config:
+        simulator = BatchFlowSimulator(sim_config)
+    elif simulator.config != sim_config:
         raise ValueError("simulator was built for a different SimulationConfig")
     times = [0.0]
     rates = []
@@ -173,12 +176,7 @@ def profile_from_timeline(
             clock += segment.duration_s
             times.append(clock)
             continue
-        if simulator is not None:
-            result = simulator.simulate(policy, segment.entry, segment.duration_s)
-        else:
-            result = simulate_flow(
-                policy, segment.entry, sim_config, segment.duration_s
-            )
+        result = simulator.simulate(policy, segment.entry, segment.duration_s)
         delay = min(result.recovery_delay_s, segment.duration_s)
         if delay > 0.0:
             rates.append(0.0)

@@ -1,13 +1,16 @@
 """No-op instrumentation must not tax the simulator hot path.
 
 The acceptance bar: with tracing disabled (the default arguments),
-``simulate_flow`` does the seed-era work plus two attribute checks.  The
-benchmark compares the disabled path against the actively-recording path
+``simulate_flow`` builds no trace event and touches the recorder and the
+registry only through their ``enabled`` attributes.  The benchmark
+compares the disabled path against the actively-recording path
 — the disabled path must never be slower (modulo timer noise), which
 bounds its overhead by the cost of real recording.
 """
 
 import time
+
+import pytest
 
 from repro.core.policies import RAFirstPolicy
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -62,11 +65,17 @@ class TestNoopOverhead:
     def test_no_event_is_built_when_disabled(self, monkeypatch):
         entry = make_entry([300, 450, 800], [300, 450, 800], 2)
 
-        def explode(*args, **kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("FlowEvent built on the disabled path")
+        def explode(*args, **kwargs):
+            raise AssertionError("FlowEvent built")
 
-        import repro.sim.engine as engine
+        import repro.sim.batch as batch
 
-        monkeypatch.setattr(engine, "FlowEvent", explode)
+        monkeypatch.setattr(batch, "FlowEvent", explode)
         result = simulate_flow(RAFirstPolicy(), entry, SimulationConfig(), 0.1)
         assert result.bytes_delivered >= 0.0
+        # The patch sits where events are built: recording trips it.
+        with pytest.raises(AssertionError, match="FlowEvent built"):
+            simulate_flow(
+                RAFirstPolicy(), entry, SimulationConfig(), 0.1,
+                InMemoryTraceRecorder(),
+            )

@@ -1,9 +1,9 @@
-"""Batched-vs-scalar parity: the byte-identity contract of `repro.sim.batch`.
+"""Engine-vs-reference parity: the byte-identity contract of `repro.sim.batch`.
 
-The vectorized flow engine must be indistinguishable from looping the
-scalar `simulate_flow` — same `FlowResult` floats, same trace events,
-same metric observations — for every policy class, fault plans included.
-The scalar engine stays in the tree purely as this reference.
+The flow engine must be indistinguishable from looping the frozen scalar
+`simulate_flow` in `tests/reference/flow_engine.py` — same `FlowResult`
+floats, same trace events, same metric observations — for every policy
+class, fault plans included.
 """
 
 import numpy as np
@@ -18,11 +18,12 @@ from repro.ml.forest import RandomForestClassifier
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import InMemoryTraceRecorder
 from repro.sim.batch import BatchFlowSimulator, simulate_flows_batch
-from repro.sim.engine import SimulationConfig, simulate_flow, simulate_timeline
+from repro.sim.engine import SimulationConfig, simulate_timeline
 from repro.sim.oracle import OracleData, OracleDelay
 from repro.sim.report import grid_report
 from repro.sim.sweep import EvaluationGrid, OperatingPoint
 from tests.conftest import make_entry
+from tests.reference import flow_engine
 
 CFG = SimulationConfig(ba_overhead_s=5e-3, frame_time_s=2e-3)
 SLOW_CFG = SimulationConfig(ba_overhead_s=250e-3, frame_time_s=10e-3)
@@ -81,7 +82,9 @@ def run_scalar(make_policy, entries, config, duration_s):
     policy = make_policy()
     recorder, metrics = InMemoryTraceRecorder(), MetricsRegistry()
     results = [
-        simulate_flow(policy, entry, config, duration_s, recorder, metrics)
+        flow_engine.simulate_flow(
+            policy, entry, config, duration_s, recorder, metrics
+        )
         for entry in entries
     ]
     return results, recorder, metrics
@@ -125,13 +128,21 @@ class TestFlowParity:
             batch = run_batch(make_policy, entries, config, duration_s)
             assert_flow_parity(scalar, batch)
 
-    @pytest.mark.parametrize("oracle_cls", [OracleData, OracleDelay])
-    def test_oracles_byte_identical(self, oracle_cls):
+    @pytest.mark.parametrize(
+        "oracle_cls, reference_cls",
+        [
+            (OracleData, flow_engine.OracleData),
+            (OracleDelay, flow_engine.OracleDelay),
+        ],
+        ids=["OracleData", "OracleDelay"],
+    )
+    def test_oracles_byte_identical(self, oracle_cls, reference_cls):
         entries = parity_entries()
         duration_s = 0.25
-        make_policy = lambda: oracle_cls(CFG, duration_s)  # noqa: E731
-        scalar = run_scalar(make_policy, entries, CFG, duration_s)
-        batch = run_batch(make_policy, entries, CFG, duration_s)
+        scalar = run_scalar(
+            lambda: reference_cls(CFG, duration_s), entries, CFG, duration_s
+        )
+        batch = run_batch(lambda: oracle_cls(CFG, duration_s), entries, CFG, duration_s)
         assert_flow_parity(scalar, batch)
 
     def test_warm_cache_is_identical_to_cold(self):
@@ -171,11 +182,9 @@ class TestFlowParity:
             simulate_flows_batch(RAFirstPolicy(), parity_entries(), CFG, 0.0)
 
 
-def tiny_grid(engine: str = "batch") -> EvaluationGrid:
+def tiny_grid() -> EvaluationGrid:
     dataset = Dataset(parity_entries(), "tiny")
-    return EvaluationGrid(
-        dataset, dataset, n_estimators=4, max_depth=4, engine=engine
-    )
+    return EvaluationGrid(dataset, dataset, n_estimators=4, max_depth=4)
 
 
 GRID_POINTS = [
@@ -186,8 +195,8 @@ GRID_POINTS = [
 
 class TestGridParity:
     def test_batch_and_scalar_grids_byte_identical(self):
-        batch_results = tiny_grid("batch").run(GRID_POINTS)
-        scalar_results = tiny_grid("scalar").run(GRID_POINTS)
+        batch_results = tiny_grid().run(GRID_POINTS)
+        scalar_results = flow_engine.run_grid_scalar(tiny_grid(), GRID_POINTS)
         for got, want in zip(batch_results, scalar_results):
             assert got.point == want.point
             assert set(got.byte_gaps_mb) == set(want.byte_gaps_mb)
@@ -205,18 +214,14 @@ class TestGridParity:
         batch_recorder, scalar_recorder = (
             InMemoryTraceRecorder(), InMemoryTraceRecorder()
         )
-        tiny_grid("batch").run_point(GRID_POINTS[0], batch_recorder)
-        tiny_grid("scalar").run_point(GRID_POINTS[0], scalar_recorder)
+        tiny_grid().run_point(GRID_POINTS[0], batch_recorder)
+        flow_engine.run_point_scalar(tiny_grid(), GRID_POINTS[0], scalar_recorder)
         assert [e.to_dict() for e in batch_recorder.events] == [
             e.to_dict() for e in scalar_recorder.events
         ]
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            tiny_grid("vectorised")
-
     def test_match_fraction_and_report_shapes_under_batch(self):
-        results = tiny_grid("batch").run(GRID_POINTS)
+        results = tiny_grid().run(GRID_POINTS)
         n = len(parity_entries())
         for result in results:
             for name in ("LiBRA", "BA First", "RA First"):
@@ -229,15 +234,15 @@ class TestGridParity:
     def test_checkpoint_resume_matches_uncheckpointed(self, tmp_path):
         from repro.checkpoint import CheckpointStore
 
-        reference = tiny_grid("batch").run(GRID_POINTS)
-        tiny_grid("batch").run(GRID_POINTS, checkpoint_dir=tmp_path)
+        reference = tiny_grid().run(GRID_POINTS)
+        tiny_grid().run(GRID_POINTS, checkpoint_dir=tmp_path)
         store = CheckpointStore(tmp_path)
         assert "trajectories" in store.keys()
         # Drop the point results but keep the trajectory cache: the resumed
         # run replays everything from adopted trajectories.
         store.path("point-0000").unlink()
         store.path("point-0001").unlink()
-        resumed = tiny_grid("batch").run(
+        resumed = tiny_grid().run(
             GRID_POINTS, checkpoint_dir=tmp_path, resume=True
         )
         for got, want in zip(resumed, reference):
@@ -260,7 +265,7 @@ class TestTimelineAndVRParity:
         simulator = BatchFlowSimulator(CFG)
         for policy_factory in (RAFirstPolicy, BAFirstPolicy):
             for timeline in timelines:
-                want = simulate_timeline(policy_factory(), timeline, CFG)
+                want = flow_engine.simulate_timeline(policy_factory(), timeline, CFG)
                 got = simulate_timeline(
                     policy_factory(), timeline, CFG, simulator=simulator
                 )
@@ -278,7 +283,7 @@ class TestTimelineAndVRParity:
 
         simulator = BatchFlowSimulator(CFG)
         for timeline in timelines:
-            want = profile_from_timeline(RAFirstPolicy(), timeline, CFG)
+            want = flow_engine.profile_from_timeline(RAFirstPolicy(), timeline, CFG)
             got = profile_from_timeline(
                 RAFirstPolicy(), timeline, CFG, simulator=simulator
             )

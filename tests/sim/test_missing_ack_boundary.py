@@ -16,7 +16,8 @@ from repro.env.geometry import Point
 from repro.env.placement import RadioPose
 from repro.env.rooms import make_lobby
 from repro.faults import AckLoss, FaultPlan, FaultyLink
-from repro.sim.engine import SimulationConfig, observation_from_entry, simulate_flow
+from repro.sim.batch import BatchFlowSimulator
+from repro.sim.engine import SimulationConfig, simulate_flow
 from repro.sim.live import LiveSession
 from repro.testbed.x60 import X60Link
 from tests.conftest import make_entry
@@ -38,7 +39,7 @@ class TestEngineBoundary:
     def test_below_threshold_always_ba(self, ba_overhead_s):
         entry = dead_link_entry(MISSING_ACK_MCS_THRESHOLD - 1)
         config = SimulationConfig(ba_overhead_s=ba_overhead_s)
-        observation = observation_from_entry(entry, config)
+        observation = BatchFlowSimulator(config).observation(entry)
         assert observation.ack_missing
         decision = LiBRA(ThresholdClassifier()).decide(observation)
         assert decision.action is Action.BA
@@ -47,10 +48,12 @@ class TestEngineBoundary:
         entry = dead_link_entry(MISSING_ACK_MCS_THRESHOLD)
         policy = LiBRA(ThresholdClassifier())
         cheap = policy.decide(
-            observation_from_entry(entry, SimulationConfig(ba_overhead_s=CHEAP))
+            BatchFlowSimulator(SimulationConfig(ba_overhead_s=CHEAP)).observation(entry)
         )
         expensive = policy.decide(
-            observation_from_entry(entry, SimulationConfig(ba_overhead_s=EXPENSIVE))
+            BatchFlowSimulator(SimulationConfig(ba_overhead_s=EXPENSIVE)).observation(
+                entry
+            )
         )
         assert cheap.action is Action.BA
         assert expensive.action is Action.RA
@@ -59,7 +62,7 @@ class TestEngineBoundary:
         entry = dead_link_entry(MISSING_ACK_MCS_THRESHOLD)
         config = SimulationConfig(ba_overhead_s=BA_OVERHEAD_THRESHOLD_S)
         decision = LiBRA(ThresholdClassifier()).decide(
-            observation_from_entry(entry, config)
+            BatchFlowSimulator(config).observation(entry)
         )
         assert decision.action is Action.RA  # strict < : the boundary itself is RA
 
