@@ -106,43 +106,6 @@ def th_ba(new_best_pair: StateMeasurement, initial_mcs: int) -> float:
     return new_best_pair.best_throughput(max_mcs=initial_mcs)
 
 
-def recovery_delay_ra_s(
-    new_same_pair: StateMeasurement,
-    new_best_pair: StateMeasurement,
-    initial_mcs: int,
-    config: GroundTruthConfig,
-) -> float:
-    """Link recovery delay when RA is triggered first.
-
-    If the old pair still has a working MCS the delay is just the probing
-    frames; otherwise the full failed scan, the BA sweep, and a second scan
-    on the new pair are all paid (the paper's D_max construction).
-    """
-    found, frames = first_working_descending(new_same_pair, initial_mcs)
-    if found is not None:
-        return frames * config.frame_time_s
-    delay = frames * config.frame_time_s + config.ba_overhead_s
-    found2, frames2 = first_working_descending(new_best_pair, initial_mcs)
-    delay += frames2 * config.frame_time_s
-    if found2 is None:
-        # Nothing works anywhere: the link is dead; delay saturates at D_max.
-        return max_delay_s(config)
-    return delay
-
-
-def recovery_delay_ba_s(
-    new_best_pair: StateMeasurement,
-    initial_mcs: int,
-    config: GroundTruthConfig,
-) -> float:
-    """Link recovery delay when BA is triggered first (then RA)."""
-    found, frames = first_working_descending(new_best_pair, initial_mcs)
-    delay = config.ba_overhead_s + frames * config.frame_time_s
-    if found is None:
-        return max_delay_s(config)
-    return delay
-
-
 def utility(throughput_mbps: float, delay_s: float, config: GroundTruthConfig) -> float:
     """The paper's utility metric U (Eqn. 1)."""
     d_max = max_delay_s(config)
@@ -162,7 +125,7 @@ class LabelInputs:
     descending scans.  Computing these once per entry lets the evaluation
     grid relabel the training set for each operating point in O(1) float
     work per entry (:func:`label_from_inputs`) instead of re-walking the
-    traces — with identical arithmetic, so labels match bit for bit.
+    traces.
     """
 
     th_ra: float
@@ -191,15 +154,17 @@ def label_inputs(
     )
 
 
-def label_from_inputs(
-    inputs: LabelInputs, config: GroundTruthConfig = GroundTruthConfig()
-) -> Action:
-    """:func:`label_entry` from precomputed scans — same floats, same label.
+def _recovery_delays_s(
+    inputs: LabelInputs, config: GroundTruthConfig
+) -> tuple[float, float]:
+    """The link recovery delays (RA first, BA first) of one entry.
 
-    The delay expressions replicate :func:`recovery_delay_ra_s` and
-    :func:`recovery_delay_ba_s` operation by operation (same order, same
-    saturation), so the utilities — and therefore the tie-margin decision —
-    are bitwise identical to the trace-walking path.
+    RA first: if the old pair still has a working MCS the delay is just the
+    probing frames; otherwise the full failed scan, the BA sweep, and a
+    second scan on the new pair are all paid (the paper's D_max
+    construction).  BA first: the sweep, then the scan on the new pair.
+    When nothing works on the new pair the link is dead and the delay
+    saturates at D_max.
     """
     if inputs.found_same is not None:
         delay_ra = inputs.frames_same * config.frame_time_s
@@ -211,9 +176,43 @@ def label_from_inputs(
         delay_ba = max_delay_s(config)
     else:
         delay_ba = config.ba_overhead_s + inputs.frames_best * config.frame_time_s
+    return delay_ra, delay_ba
+
+
+def label_from_inputs(
+    inputs: LabelInputs, config: GroundTruthConfig = GroundTruthConfig()
+) -> Action:
+    """The ground-truth winner for one entry, from its precomputed scans.
+
+    Ties go to RA, matching the paper's "perform RA when Th(RA) ≥ Th(BA)".
+    """
+    delay_ra, delay_ba = _recovery_delays_s(inputs, config)
     u_ra = utility(inputs.th_ra, delay_ra, config)
     u_ba = utility(inputs.th_ba, delay_ba, config)
     return Action.RA if u_ra >= u_ba - config.tie_margin else Action.BA
+
+
+def recovery_delay_ra_s(
+    new_same_pair: StateMeasurement,
+    new_best_pair: StateMeasurement,
+    initial_mcs: int,
+    config: GroundTruthConfig,
+) -> float:
+    """Link recovery delay when RA is triggered first."""
+    inputs = label_inputs(new_same_pair, new_best_pair, initial_mcs)
+    return _recovery_delays_s(inputs, config)[0]
+
+
+def recovery_delay_ba_s(
+    new_best_pair: StateMeasurement,
+    initial_mcs: int,
+    config: GroundTruthConfig,
+) -> float:
+    """Link recovery delay when BA is triggered first (then RA)."""
+    # The BA-first delay reads only the new pair's scan, so the new pair
+    # stands in for the old one.
+    inputs = label_inputs(new_best_pair, new_best_pair, initial_mcs)
+    return _recovery_delays_s(inputs, config)[1]
 
 
 def label_entry(
@@ -222,18 +221,7 @@ def label_entry(
     initial_mcs: int,
     config: GroundTruthConfig = GroundTruthConfig(),
 ) -> Action:
-    """The ground-truth winner for one dataset entry.
-
-    Ties go to RA, matching the paper's "perform RA when Th(RA) ≥ Th(BA)".
-    """
-    u_ra = utility(
-        th_ra(new_same_pair, initial_mcs),
-        recovery_delay_ra_s(new_same_pair, new_best_pair, initial_mcs, config),
-        config,
+    """The ground-truth winner for one dataset entry."""
+    return label_from_inputs(
+        label_inputs(new_same_pair, new_best_pair, initial_mcs), config
     )
-    u_ba = utility(
-        th_ba(new_best_pair, initial_mcs),
-        recovery_delay_ba_s(new_best_pair, initial_mcs, config),
-        config,
-    )
-    return Action.RA if u_ra >= u_ba - config.tie_margin else Action.BA

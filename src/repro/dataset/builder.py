@@ -41,6 +41,7 @@ from repro.env.placement import (
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.phy.blockage import BLOCKER_PATH_FRACTIONS, make_blocker
+from repro.phy.channel import copy_pair_gains
 from repro.phy.interference import Interferer
 from repro.phy.noise import NoiseModel
 from repro.runtime import child_rng, parallel_map
@@ -149,10 +150,9 @@ def _na_entry(
     if first.best_mcs() is None:
         return None
     state_b = link.channel_state(rx, blockers, interferer, rng)
-    if "_pair_gains" in state_a.extra_fields:
-        # Same geometry, hence the same rays: the second capture can reuse
-        # the gain rows the first capture's sweep cached.
-        state_b.extra_fields["_pair_gains"] = state_a.extra_fields["_pair_gains"]
+    # Same geometry, hence the same rays: the second capture can reuse
+    # the gain rows the first capture's sweep cached.
+    copy_pair_gains(state_a, state_b)
     second = link.measure(state_b, rx, tx_beam, rx_beam, rng)
     features = compute_features(first, second)
     return DatasetEntry(

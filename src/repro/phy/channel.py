@@ -1,9 +1,10 @@
-"""Geometric 60 GHz indoor channel: image-method ray tracing.
+"""Geometric 60 GHz indoor channel: rays, channel states, beam-pair SNR.
 
 The channel between a Tx pose and an Rx position is a *sparse* set of rays —
 the LOS path plus first- and second-order wall/clutter reflections — which
 is exactly the regime the paper leans on ("owing to the sparsity of 60 GHz
-channels", §6.1).  Each ray carries:
+channels", §6.1).  :func:`repro.phy.tracing.trace_rays` finds them with the
+image method.  Each ray carries:
 
 * angle of departure (AoD) at the Tx and angle of arrival (AoA) at the Rx,
   both in the global frame — beam gains are applied later relative to each
@@ -27,16 +28,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.constants import SPEED_OF_LIGHT_M_S
-from repro.env.geometry import (
-    Point,
-    Segment,
-    mirror_point,
-    path_is_clear,
-    segment_intersection,
-)
+from repro.env.geometry import Point, Segment
 from repro.env.rooms import Room
 from repro.phy.antenna import Beam, Codebook
-from repro.phy.propagation import path_loss_db
 
 
 @dataclass(frozen=True)
@@ -117,192 +111,11 @@ class ChannelState:
 
 
 # ---------------------------------------------------------------------------
-# Ray tracing
-# ---------------------------------------------------------------------------
-
-_MIN_RAY_GAIN_DB = -140.0
-"""Rays with more than 140 dB of loss are dropped (below any noise floor)."""
-
-
-def _blockage_loss_db(p1: Point, p2: Point, blockers: Sequence[Segment]) -> float:
-    """Total knife-edge loss from blockers crossing the sub-path ``p1p2``.
-
-    Each blocker segment stores its own loss in ``material_loss_db``.
-    """
-    loss = 0.0
-    for blocker in blockers:
-        if segment_intersection(p1, p2, blocker.a, blocker.b) is not None:
-            loss += blocker.material_loss_db
-    return loss
-
-
-def _los_ray(geometry: LinkGeometry) -> Optional[Ray]:
-    tx, rx = geometry.tx_position, geometry.rx_position
-    if not path_is_clear(tx, rx, geometry.room.obstacles()):
-        # Clutter fully blocks this LOS (e.g. desk rows); model as heavy loss
-        # rather than dropping the ray — mm-wave diffracts a little.
-        clutter_loss = 35.0
-    else:
-        clutter_loss = 0.0
-    length = tx.distance_to(rx)
-    loss = path_loss_db(length) + clutter_loss
-    loss += _blockage_loss_db(tx, rx, geometry.blockers)
-    if -loss < _MIN_RAY_GAIN_DB:
-        return None
-    return Ray(
-        aod_deg=math.degrees(tx.angle_to(rx)),
-        aoa_deg=math.degrees(rx.angle_to(tx)),
-        path_length_m=length,
-        loss_db=loss,
-        order=0,
-        via=(),
-    )
-
-
-def _first_order_ray(
-    geometry: LinkGeometry, wall: Segment, room_obstacles: Optional[list[Segment]] = None
-) -> Optional[Ray]:
-    """Single-bounce ray off ``wall`` using the image method.
-
-    ``room_obstacles`` lets :func:`trace_rays` hoist the
-    ``room.obstacles()`` list out of the per-wall loop.
-    """
-    tx, rx = geometry.tx_position, geometry.rx_position
-    image = mirror_point(tx, wall)
-    hit = segment_intersection(image, rx, wall.a, wall.b)
-    if hit is None:
-        return None
-    if room_obstacles is None:
-        room_obstacles = geometry.room.obstacles()
-    # Both sub-paths must be clear of other clutter.
-    obstacles = [s for s in room_obstacles if s is not wall]
-    if not path_is_clear(tx, hit, obstacles):
-        return None
-    if not path_is_clear(hit, rx, obstacles):
-        return None
-    length = tx.distance_to(hit) + hit.distance_to(rx)
-    loss = path_loss_db(length) + wall.material_loss_db
-    loss += _blockage_loss_db(tx, hit, geometry.blockers)
-    loss += _blockage_loss_db(hit, rx, geometry.blockers)
-    if -loss < _MIN_RAY_GAIN_DB:
-        return None
-    return Ray(
-        aod_deg=math.degrees(tx.angle_to(hit)),
-        aoa_deg=math.degrees(rx.angle_to(hit)),
-        path_length_m=length,
-        loss_db=loss,
-        order=1,
-        via=(wall.name,),
-    )
-
-
-def _second_order_ray(
-    geometry: LinkGeometry,
-    wall1: Segment,
-    wall2: Segment,
-    room_obstacles: Optional[list[Segment]] = None,
-    image1: Optional[Point] = None,
-) -> Optional[Ray]:
-    """Double-bounce ray: Tx → wall1 → wall2 → Rx via nested images.
-
-    ``room_obstacles`` and ``image1`` (the Tx mirrored across ``wall1``)
-    let :func:`trace_rays` hoist per-wall-pair recomputation out of the
-    O(walls²) loop.
-    """
-    tx, rx = geometry.tx_position, geometry.rx_position
-    if image1 is None:
-        image1 = mirror_point(tx, wall1)
-    image2 = mirror_point(image1, wall2)
-    hit2 = segment_intersection(image2, rx, wall2.a, wall2.b)
-    if hit2 is None:
-        return None
-    hit1 = segment_intersection(image1, hit2, wall1.a, wall1.b)
-    if hit1 is None:
-        return None
-    if room_obstacles is None:
-        room_obstacles = geometry.room.obstacles()
-    obstacles = [s for s in room_obstacles if s is not wall1 and s is not wall2]
-    for p1, p2 in ((tx, hit1), (hit1, hit2), (hit2, rx)):
-        if not path_is_clear(p1, p2, obstacles):
-            return None
-    length = tx.distance_to(hit1) + hit1.distance_to(hit2) + hit2.distance_to(rx)
-    loss = path_loss_db(length) + wall1.material_loss_db + wall2.material_loss_db
-    for p1, p2 in ((tx, hit1), (hit1, hit2), (hit2, rx)):
-        loss += _blockage_loss_db(p1, p2, geometry.blockers)
-    if -loss < _MIN_RAY_GAIN_DB:
-        return None
-    return Ray(
-        aod_deg=math.degrees(tx.angle_to(hit1)),
-        aoa_deg=math.degrees(rx.angle_to(hit2)),
-        path_length_m=length,
-        loss_db=loss,
-        order=2,
-        via=(wall1.name, wall2.name),
-    )
-
-
-def trace_rays(geometry: LinkGeometry, max_order: int = 2) -> list[Ray]:
-    """Trace all rays up to ``max_order`` reflections, strongest first."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    rays: list[Ray] = []
-    los = _los_ray(geometry)
-    if los is not None:
-        rays.append(los)
-    reflectors = geometry.room.reflectors()
-    room_obstacles = geometry.room.obstacles()
-    if max_order >= 1:
-        for wall in reflectors:
-            ray = _first_order_ray(geometry, wall, room_obstacles)
-            if ray is not None:
-                rays.append(ray)
-    if max_order >= 2:
-        tx = geometry.tx_position
-        images1 = [mirror_point(tx, wall) for wall in reflectors]
-        for wall1, image1 in zip(reflectors, images1):
-            for wall2 in reflectors:
-                if wall1 is wall2:
-                    continue
-                ray = _second_order_ray(
-                    geometry, wall1, wall2, room_obstacles, image1
-                )
-                if ray is not None:
-                    rays.append(ray)
-    rays.sort(key=lambda r: r.loss_db)
-    return rays
-
-
-# ---------------------------------------------------------------------------
 # Received power / SNR for beam pairs
 # ---------------------------------------------------------------------------
 
 
-def received_power_dbm(
-    rays: Sequence[Ray],
-    tx_beam: Beam,
-    rx_beam: Beam,
-    tx_orientation_deg: float,
-    rx_orientation_deg: float,
-    tx_power_dbm: float,
-) -> float:
-    """Incoherent sum of per-ray received powers for one beam pair.
-
-    Beam gains are evaluated at the ray's AoD/AoA *relative to each array's
-    boresight orientation* — one vectorized pattern evaluation per antenna
-    covers every ray.
-    """
-    if not rays:
-        return -300.0
-    powers = _per_ray_powers_array(
-        rays, tx_beam, rx_beam, tx_orientation_deg, rx_orientation_deg, tx_power_dbm
-    )
-    total_mw = float(np.sum(10.0 ** (powers / 10.0)))
-    if total_mw <= 0.0:
-        return -300.0
-    return 10.0 * math.log10(total_mw)
-
-
-def _per_ray_powers_array(
+def per_ray_powers_dbm(
     rays: Sequence[Ray],
     tx_beam: Beam,
     rx_beam: Beam,
@@ -310,6 +123,12 @@ def _per_ray_powers_array(
     rx_orientation_deg: float,
     tx_power_dbm: float,
 ) -> np.ndarray:
+    """Received power of every ray for one beam pair, same order as ``rays``.
+
+    Beam gains are evaluated at the ray's AoD/AoA *relative to each array's
+    boresight orientation* — one vectorized pattern evaluation per antenna
+    covers every ray.
+    """
     aod = np.array([r.aod_deg - tx_orientation_deg for r in rays])
     aoa = np.array([r.aoa_deg - rx_orientation_deg for r in rays])
     loss = np.array([r.loss_db for r in rays])
@@ -321,21 +140,12 @@ def _per_ray_powers_array(
     )
 
 
-def per_ray_received_powers_dbm(
-    rays: Sequence[Ray],
-    tx_beam: Beam,
-    rx_beam: Beam,
-    tx_orientation_deg: float,
-    rx_orientation_deg: float,
-    tx_power_dbm: float,
-) -> list[float]:
-    """Per-ray received power (for PDP construction), same order as ``rays``."""
-    if not rays:
-        return []
-    powers = _per_ray_powers_array(
-        rays, tx_beam, rx_beam, tx_orientation_deg, rx_orientation_deg, tx_power_dbm
-    )
-    return [float(p) for p in powers]
+def received_power_dbm(powers_dbm: np.ndarray) -> float:
+    """Incoherent sum of per-ray received powers (-300 dBm for no rays)."""
+    total_mw = float(np.sum(10.0 ** (powers_dbm / 10.0)))
+    if total_mw <= 0.0:
+        return -300.0
+    return 10.0 * math.log10(total_mw)
 
 
 def snr_db(
@@ -347,10 +157,54 @@ def snr_db(
     tx_power_dbm: float,
 ) -> float:
     """SINR of one beam pair under the channel state's noise + interference."""
-    rx_power = received_power_dbm(
+    rx_power = received_power_dbm(per_ray_powers_dbm(
         state.rays, tx_beam, rx_beam, tx_orientation_deg, rx_orientation_deg, tx_power_dbm
-    )
+    ))
     return rx_power - state.effective_noise_dbm(rx_beam, rx_orientation_deg)
+
+
+_PAIR_GAINS = "_pair_gains"
+"""``extra_fields`` key of the per-(beam, ray) gain rows that
+:func:`snr_matrix_db` caches on a state: ``(tx orientation, rx orientation,
+tx gain rows, rx gain rows, ray losses)``."""
+
+
+def pair_powers_dbm(
+    state: ChannelState,
+    codebook: Codebook,
+    tx_beam: int,
+    rx_beam: int,
+    tx_orientation_deg: float,
+    rx_orientation_deg: float,
+    tx_power_dbm: float,
+) -> np.ndarray:
+    """:func:`per_ray_powers_dbm` of codebook pair (``tx_beam``, ``rx_beam``).
+
+    Reads the gain rows a sweep cached on ``state`` at the same
+    orientations when there are any, instead of evaluating both patterns
+    again.  Those rows come from :meth:`Codebook.gain_matrix_dbi`, which
+    can differ from :meth:`Beam.gain_dbi_array` in the last bits, so the
+    two branches can disagree by a few ulp.
+    """
+    gains = state.extra_fields.get(_PAIR_GAINS)
+    if gains is not None and gains[:2] == (tx_orientation_deg, rx_orientation_deg):
+        _, _, gtx_dbi, grx_dbi, loss = gains
+        return tx_power_dbm + gtx_dbi[tx_beam] + grx_dbi[rx_beam] - loss
+    return per_ray_powers_dbm(
+        state.rays, codebook[tx_beam], codebook[rx_beam],
+        tx_orientation_deg, rx_orientation_deg, tx_power_dbm,
+    )
+
+
+def copy_pair_gains(source: ChannelState, target: ChannelState) -> None:
+    """Let ``target`` reuse the gain rows a sweep cached on ``source``.
+
+    Only for two states of the same rays, such as a state and its
+    interference-free copy, or two captures of one geometry.
+    """
+    gains = source.extra_fields.get(_PAIR_GAINS)
+    if gains is not None:
+        target.extra_fields[_PAIR_GAINS] = gains
 
 
 def snr_matrix_db(
@@ -380,8 +234,9 @@ def snr_matrix_db(
     grx_dbi = gm[:, aod.size:]  # (n, R)
     # Stash the per-(beam, ray) gain rows: a subsequent measure() of any
     # beam pair on this state reuses them instead of re-evaluating the
-    # patterns (rows are bit-identical to Beam.gain_dbi_array output).
-    state.extra_fields["_pair_gains"] = (
+    # patterns (see pair_powers_dbm for how they differ from
+    # Beam.gain_dbi_array output).
+    state.extra_fields[_PAIR_GAINS] = (
         tx_orientation_deg, rx_orientation_deg, gtx_dbi, grx_dbi, loss
     )
     gtx = 10.0 ** (gtx_dbi / 10.0)

@@ -1,11 +1,8 @@
 """Vectorized image-method ray tracing with memoized per-link engines.
 
-:func:`repro.phy.channel.trace_rays` is exact but scalar: every call
-re-mirrors the Tx across every wall, re-runs ``O(walls²)`` Python-level
-segment intersections, and rebuilds obstacle lists.  The measurement
-campaign traces the *same* (room, Tx) thousands of times — across Rx
-positions, blockage reps, and the clear/blocked halves of every capture —
-so almost all of that work is reusable.
+The measurement campaign traces the *same* (room, Tx) thousands of
+times — across Rx positions, blockage reps, and the clear/blocked halves
+of every capture — so almost all of the image-method work is reusable.
 
 :class:`TraceEngine` precomputes everything that depends only on
 (room, Tx): columnar wall endpoint arrays, first-order Tx images, and the
@@ -15,9 +12,14 @@ blockage and path losses) over all walls / wall pairs at once.
 
 Determinism contract (tested in ``tests/phy/test_tracing_batch.py``):
 
-* the engine reproduces the scalar tracer's ray list — same rays, same
-  sort order, values equal to ≤1e-9 (the arithmetic follows the scalar
-  formulas operation for operation, so in practice it is bit-identical);
+* the engine reproduces the ray list of the scalar per-wall image method
+  (frozen in ``tests/reference/ray_tracer.py``) — same rays and ``via``,
+  values equal to ≤1e-9, and the same sort order except between rays
+  whose losses tie.  The arithmetic follows the scalar formulas operation
+  for operation, but NumPy's ``log10`` and ``hypot`` can round
+  differently from :mod:`math`'s, so losses can differ by ~1e-14 dB and
+  tied rays (the mirror-image double bounces of a symmetric link) can
+  swap;
 * engines and per-Rx results are cached purely by value (room geometry,
   poses, blockers), so caching can never change a seeded run's output.
 """
@@ -35,18 +37,52 @@ from repro.constants import (
     OXYGEN_ABSORPTION_DB_PER_KM,
     SPEED_OF_LIGHT_M_S,
 )
-from repro.env.geometry import Point, Segment
+from repro.env.geometry import Point, Segment, path_is_clear, segment_intersection
 from repro.env.rooms import Room
-from repro.phy.channel import (
-    LinkGeometry,
-    Ray,
-    _MIN_RAY_GAIN_DB,
-    _los_ray,
-)
+from repro.phy.channel import LinkGeometry, Ray
+from repro.phy.propagation import path_loss_db
 
 _EPS = 1e-9
 _ENDPOINT_TOL_M = 1e-3  # matches geometry.path_is_clear
 _WAVELENGTH_M = SPEED_OF_LIGHT_M_S / CARRIER_FREQUENCY_HZ
+
+_MIN_RAY_GAIN_DB = -140.0
+"""Rays with more than 140 dB of loss are dropped (below any noise floor)."""
+
+
+def _blockage_loss_db(p1: Point, p2: Point, blockers: Sequence[Segment]) -> float:
+    """Total knife-edge loss from blockers crossing the sub-path ``p1p2``.
+
+    Each blocker segment stores its own loss in ``material_loss_db``.
+    """
+    loss = 0.0
+    for blocker in blockers:
+        if segment_intersection(p1, p2, blocker.a, blocker.b) is not None:
+            loss += blocker.material_loss_db
+    return loss
+
+
+def _los_ray(geometry: LinkGeometry) -> Optional[Ray]:
+    tx, rx = geometry.tx_position, geometry.rx_position
+    if not path_is_clear(tx, rx, geometry.room.obstacles()):
+        # Clutter fully blocks this LOS (e.g. desk rows); model as heavy loss
+        # rather than dropping the ray — mm-wave diffracts a little.
+        clutter_loss = 35.0
+    else:
+        clutter_loss = 0.0
+    length = tx.distance_to(rx)
+    loss = path_loss_db(length) + clutter_loss
+    loss += _blockage_loss_db(tx, rx, geometry.blockers)
+    if -loss < _MIN_RAY_GAIN_DB:
+        return None
+    return Ray(
+        aod_deg=math.degrees(tx.angle_to(rx)),
+        aoa_deg=math.degrees(rx.angle_to(tx)),
+        path_length_m=length,
+        loss_db=loss,
+        order=0,
+        via=(),
+    )
 
 
 def _segment_key(seg: Segment) -> tuple:
@@ -116,9 +152,8 @@ def _intersections(
 class TraceEngine:
     """Batched ray tracer for a fixed (room, Tx position).
 
-    ``trace(rx, blockers)`` returns the same ray list as
-    ``trace_rays(LinkGeometry(room, tx, rx, blockers), max_order)`` and
-    memoizes results per (rx, blockers) value.
+    ``trace(rx, blockers)`` returns every ray Tx→``rx`` up to ``max_order``
+    bounces and memoizes results per (rx, blockers) value.
     """
 
     def __init__(self, room: Room, tx: Point, max_order: int = 2,
@@ -361,11 +396,11 @@ def engine_for(room: Room, tx: Point, max_order: int = 2) -> TraceEngine:
     return engine
 
 
-def trace_rays_cached(geometry: LinkGeometry, max_order: int = 2) -> list[Ray]:
-    """Drop-in replacement for :func:`repro.phy.channel.trace_rays`.
+def trace_rays(geometry: LinkGeometry, max_order: int = 2) -> list[Ray]:
+    """Trace all rays up to ``max_order`` reflections, strongest first.
 
-    Same ray list, but vectorized over walls/wall pairs and memoized at two
-    levels: per-(room, Tx) precomputation and per-(Rx, blockers) results.
+    Vectorized over walls/wall pairs and memoized at two levels:
+    per-(room, Tx) precomputation and per-(Rx, blockers) results.
     """
     engine = engine_for(geometry.room, geometry.tx_position, max_order)
     return engine.trace(geometry.rx_position, geometry.blockers)

@@ -28,15 +28,16 @@ from repro.phy.blockage import HumanBlocker
 from repro.phy.channel import (
     ChannelState,
     LinkGeometry,
-    best_beam_pair,
-    per_ray_received_powers_dbm,
+    copy_pair_gains,
+    pair_powers_dbm,
+    received_power_dbm,
     snr_db as channel_snr_db,
 )
 from repro.phy.error_model import (
     codeword_delivery_ratio_array,
     phy_rates_mbps,
 )
-from repro.phy.tracing import trace_rays_cached
+from repro.phy.tracing import trace_rays
 from repro.phy.interference import Interferer, calibrate_field, calibrate_field_for_drop
 from repro.phy.noise import NoiseModel
 from repro.phy.pdp import power_delay_profile
@@ -111,14 +112,14 @@ class X60Link:
         # Memoized by (room, Tx pose, Rx pose, blockers): repeated states —
         # the clear/impaired halves of a capture, blockage reps, the SLS —
         # reuse one traced channel instead of re-running the image method.
-        rays = trace_rays_cached(geometry, self.max_reflection_order)
+        rays = trace_rays(geometry, self.max_reflection_order)
         noise_dbm = self.noise_model.true_floor_dbm(rng)
         interference_field = None
         if interferer is not None:
             interferer_geometry = LinkGeometry(
                 self.room, interferer.position, rx.position, blocker_segments
             )
-            interferer_rays = trace_rays_cached(
+            interferer_rays = trace_rays(
                 interferer_geometry, self.max_reflection_order
             )
             if interferer_rays and operating_pair is not None:
@@ -181,10 +182,10 @@ class X60Link:
             signal_state, self.codebook, self.tx.orientation_deg,
             rx.orientation_deg, self.tx_power_dbm,
         )
-        if signal_state is not state and "_pair_gains" in signal_state.extra_fields:
+        if signal_state is not state:
             # Propagate the cached gain rows to the real (interfered) state
             # so measure() can reuse them there too.
-            state.extra_fields["_pair_gains"] = signal_state.extra_fields["_pair_gains"]
+            copy_pair_gains(signal_state, state)
         if rng is not None and snr_noise_std_db > 0.0:
             measured = matrix + rng.normal(0.0, snr_noise_std_db, matrix.shape)
         else:
@@ -220,19 +221,13 @@ class X60Link:
         key = (self.codebook, txo, rxo, self.tx_power_dbm, tx_beam, rx_beam)
         if key in memo:
             return memo[key]
-        # Reuse the per-(beam, ray) gain rows a sector sweep cached on the
-        # state when available (bit-identical values).
-        gains = state.extra_fields.get("_pair_gains")
-        if gains is not None and gains[:2] == (txo, rxo):
-            _, _, gtx_dbi, grx_dbi, loss = gains
-            per_ray_powers = self.tx_power_dbm + gtx_dbi[tx_beam] + grx_dbi[rx_beam] - loss
-        else:
-            per_ray_powers = np.array(per_ray_received_powers_dbm(
-                state.rays, self.codebook[tx_beam], self.codebook[rx_beam],
-                txo, rxo, self.tx_power_dbm,
-            ))
-        total_mw = float(np.sum(10.0 ** (per_ray_powers / 10.0)))
-        rx_power_dbm = 10.0 * math.log10(total_mw) if total_mw > 0.0 else -300.0
+        # Reuses the per-(beam, ray) gain rows a sector sweep cached on the
+        # state when available (they can differ from the per-beam pattern
+        # in the last bits, see pair_powers_dbm).
+        per_ray_powers = pair_powers_dbm(
+            state, self.codebook, tx_beam, rx_beam, txo, rxo, self.tx_power_dbm
+        )
+        rx_power_dbm = received_power_dbm(per_ray_powers)
         effective_noise = state.effective_noise_dbm(self.codebook[rx_beam], rxo)
         true_snr = rx_power_dbm - effective_noise
         pdp = power_delay_profile(state.rays, per_ray_powers)

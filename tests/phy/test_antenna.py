@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.testing import assert_array_max_ulp
 
 from repro.constants import X60_NUM_BEAMS
 from repro.phy.antenna import (
@@ -13,6 +14,7 @@ from repro.phy.antenna import (
     quasi_omni_gain_dbi,
     sibeam_codebook,
 )
+from tests.reference.beam_pattern import gain_dbi as reference_gain_dbi
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,11 @@ class TestCodebookStructure:
             assert gains[far].max() > SIDE_LOBE_FLOOR_DBI + 5.0
 
 
+def _gain(beam: Beam, angle_deg: float) -> float:
+    """The shipped pattern's gain toward one angle."""
+    return float(beam.gain_dbi_array(angle_deg)[0])
+
+
 def _clean_beam() -> Beam:
     """An idealised beam (no ripple, nominal peak) to test the lobe model."""
     return Beam(index=0, steering_deg=0.0, beamwidth_deg=30.0, side_lobes=())
@@ -64,17 +71,17 @@ class TestBeamGain:
         # Realised peaks carry per-beam gain variation (±1.5 dB) and
         # pattern ripple (±2 dB) around the nominal array gain.
         for beam in list(codebook)[::6]:
-            at_peak = beam.gain_dbi(beam.steering_deg)
+            at_peak = _gain(beam, beam.steering_deg)
             assert at_peak == pytest.approx(MAIN_LOBE_PEAK_GAIN_DBI, abs=4.0)
 
     def test_clean_beam_peak_is_nominal(self):
         beam = _clean_beam()
-        assert beam.gain_dbi(0.0) == pytest.approx(MAIN_LOBE_PEAK_GAIN_DBI, abs=0.1)
+        assert _gain(beam, 0.0) == pytest.approx(MAIN_LOBE_PEAK_GAIN_DBI, abs=0.1)
 
     def test_three_db_point_at_half_beamwidth(self):
         beam = _clean_beam()
-        peak = beam.gain_dbi(0.0)
-        edge = beam.gain_dbi(beam.beamwidth_deg / 2.0)
+        peak = _gain(beam, 0.0)
+        edge = _gain(beam, beam.beamwidth_deg / 2.0)
         assert peak - edge == pytest.approx(3.0, abs=0.3)
 
     def test_gain_never_below_floor_minus_ripple(self, codebook):
@@ -87,19 +94,38 @@ class TestBeamGain:
         beam = codebook[7]
         angles = np.linspace(-170, 170, 37)
         vector = beam.gain_dbi_array(angles)
-        scalar = np.array([beam.gain_dbi(float(a)) for a in angles])
+        scalar = np.array([reference_gain_dbi(beam, float(a)) for a in angles])
         assert np.allclose(vector, scalar, atol=1e-9)
 
     @given(st.floats(min_value=-720, max_value=720, allow_nan=False))
     def test_gain_is_360_periodic(self, angle):
         beam = sibeam_codebook()[12]
-        assert beam.gain_dbi(angle) == pytest.approx(beam.gain_dbi(angle + 360.0), abs=1e-6)
+        assert _gain(beam, angle) == pytest.approx(_gain(beam, angle + 360.0), abs=1e-6)
 
     def test_gain_matrix_shape_and_consistency(self, codebook):
         angles = np.array([-30.0, 0.0, 45.0])
         matrix = codebook.gain_matrix_dbi(angles)
         assert matrix.shape == (len(codebook), 3)
-        assert matrix[12, 1] == pytest.approx(codebook[12].gain_dbi(0.0), abs=1e-9)
+        assert matrix[12, 1] == pytest.approx(_gain(codebook[12], 0.0), abs=1e-9)
+
+    def test_per_beam_and_codebook_kernels_agree_to_a_few_ulp(self, codebook):
+        """The two kernels differ only by their lobe peaks' last bit.
+
+        ``Beam`` raises its peaks to linear power with NumPy's array
+        ``10 ** (x / 10)``, ``Codebook`` with Python's scalar ``**``; the
+        two can round a peak differently, so gains are not bit-identical.
+        Near 0 dB an ulp is tiny, so the gain bound is taken where
+        ``|gain| >= 1 dB``.
+        """
+        angles = np.linspace(-180.0, 180.0, 3601)
+        matrix = codebook.gain_matrix_dbi(angles)
+        peaks_by_beam = codebook._pattern_arrays()[2]
+        for i, beam in enumerate(codebook):
+            peaks = beam._lobe_columns()[2]
+            assert_array_max_ulp(peaks, peaks_by_beam[i, : peaks.size], maxulp=1)
+            row = beam.gain_dbi_array(angles)
+            away = np.abs(row) >= 1.0
+            assert_array_max_ulp(row[away], matrix[i, away], maxulp=16)
 
 
 class TestSelection:

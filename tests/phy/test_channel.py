@@ -9,15 +9,17 @@ import pytest
 from repro.env.geometry import Point, Segment
 from repro.env.rooms import Room, make_corridor
 from repro.phy.antenna import sibeam_codebook
+from repro.phy import trace_rays
 from repro.phy.channel import (
     ChannelState,
     LinkGeometry,
     best_beam_pair,
-    per_ray_received_powers_dbm,
+    copy_pair_gains,
+    pair_powers_dbm,
+    per_ray_powers_dbm,
     received_power_dbm,
     snr_db,
     snr_matrix_db,
-    trace_rays,
 )
 from repro.phy.propagation import path_loss_db
 
@@ -138,22 +140,26 @@ class TestReceivedPower:
         codebook, rays, state = setup
         boresight = codebook.beam_closest_to(0.0)
         edge = codebook.beam_closest_to(60.0)
-        aligned = received_power_dbm(rays, boresight, boresight, 0.0, 180.0, 10.0)
-        misaligned = received_power_dbm(rays, edge, edge, 0.0, 180.0, 10.0)
+        aligned = received_power_dbm(
+            per_ray_powers_dbm(rays, boresight, boresight, 0.0, 180.0, 10.0)
+        )
+        misaligned = received_power_dbm(
+            per_ray_powers_dbm(rays, edge, edge, 0.0, 180.0, 10.0)
+        )
         assert aligned > misaligned + 6.0
 
     def test_per_ray_powers_sum_to_total(self, setup):
         codebook, rays, state = setup
         beam = codebook.beam_closest_to(0.0)
-        per_ray = per_ray_received_powers_dbm(rays, beam, beam, 0.0, 180.0, 10.0)
+        per_ray = per_ray_powers_dbm(rays, beam, beam, 0.0, 180.0, 10.0)
         total_mw = sum(10 ** (p / 10.0) for p in per_ray)
-        total = received_power_dbm(rays, beam, beam, 0.0, 180.0, 10.0)
+        total = received_power_dbm(per_ray)
         assert total == pytest.approx(10 * math.log10(total_mw), abs=1e-9)
 
     def test_empty_channel_returns_floor(self):
-        assert received_power_dbm(
+        assert received_power_dbm(per_ray_powers_dbm(
             [], sibeam_codebook()[0], sibeam_codebook()[0], 0, 0, 10.0
-        ) == pytest.approx(-300.0)
+        )) == pytest.approx(-300.0)
 
     def test_snr_matrix_matches_scalar_snr(self, setup):
         codebook, rays, state = setup
@@ -177,6 +183,44 @@ class TestReceivedPower:
         # beams should steer near 0°.
         assert abs(codebook[ti].steering_deg) <= 10.0
         assert abs(codebook[ri].steering_deg) <= 10.0
+
+
+class TestPairGains:
+    """The gain rows a sweep caches on a state, and their hand-off."""
+
+    @pytest.fixture
+    def setup(self, geometry):
+        rays = trace_rays(geometry, max_order=2)
+        return sibeam_codebook(), rays, ChannelState(rays, noise_dbm=-74.0)
+
+    def test_reads_swept_rows_at_the_same_orientations(self, setup):
+        codebook, rays, state = setup
+        per_beam = per_ray_powers_dbm(rays, codebook[3], codebook[20], 0.0, 180.0, 10.0)
+        assert np.array_equal(
+            pair_powers_dbm(state, codebook, 3, 20, 0.0, 180.0, 10.0), per_beam
+        )
+        snr_matrix_db(state, codebook, 0.0, 180.0, 10.0)
+        swept = pair_powers_dbm(state, codebook, 3, 20, 0.0, 180.0, 10.0)
+        np.testing.assert_allclose(swept, per_beam, rtol=0.0, atol=1e-12)
+        turned = per_ray_powers_dbm(rays, codebook[3], codebook[20], 5.0, 180.0, 10.0)
+        assert np.array_equal(
+            pair_powers_dbm(state, codebook, 3, 20, 5.0, 180.0, 10.0), turned
+        )
+
+    def test_copy_hands_the_rows_to_a_state_of_the_same_rays(self, setup):
+        codebook, rays, state = setup
+        other = ChannelState(rays, noise_dbm=-70.0)
+        copy_pair_gains(state, other)  # nothing swept yet: nothing to copy
+        snr_matrix_db(state, codebook, 0.0, 180.0, 10.0)
+        swept = pair_powers_dbm(state, codebook, 3, 20, 0.0, 180.0, 10.0)
+        assert np.array_equal(
+            pair_powers_dbm(other, codebook, 3, 20, 0.0, 180.0, 10.0),
+            per_ray_powers_dbm(rays, codebook[3], codebook[20], 0.0, 180.0, 10.0),
+        )
+        copy_pair_gains(state, other)
+        assert np.array_equal(
+            pair_powers_dbm(other, codebook, 3, 20, 0.0, 180.0, 10.0), swept
+        )
 
 
 class TestChannelState:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import Room, make_corridor
-from repro.phy.channel import LinkGeometry, trace_rays
+from repro.phy import LinkGeometry, trace_rays
 from repro.phy.propagation import path_loss_db
 
 

@@ -5,7 +5,8 @@ faithful to their scalar references:
 
 * :func:`repair_ladder` vs :meth:`RateAdaptation.repair`,
 * :func:`steady_rate_runs` (prefix + cycle) vs :meth:`RateAdaptation.frames`,
-* :func:`label_from_inputs` vs :func:`label_entry`.
+* :func:`label_from_inputs` vs the trace-walking labeller frozen in
+  ``tests/reference/ground_truth.py``.
 
 Plus the cache machinery itself: content-addressed fingerprints, exact
 payload round trips, and hit/miss/loaded accounting.
@@ -16,9 +17,10 @@ import pytest
 
 from repro.core.ground_truth import (
     GroundTruthConfig,
-    label_entry,
     label_from_inputs,
     label_inputs,
+    recovery_delay_ba_s,
+    recovery_delay_ra_s,
 )
 from repro.core.rate_adaptation import (
     RateAdaptation,
@@ -33,6 +35,7 @@ from repro.sim.trajectory import (
     entry_fingerprint,
 )
 from tests.conftest import make_entry, make_traces
+from tests.reference import ground_truth as reference
 
 # Trace shapes that exercise every steady-state regime: a rising ladder
 # (probes succeed), a cliff (probes fail, backoff grows), a plateau
@@ -110,6 +113,14 @@ class TestRepairLadder:
             repair_ladder(make_traces([300]), 9)
 
 
+LABEL_CASES = [
+    (make_traces([300, 450, 865, 0, 0]), make_traces([300, 450, 865, 1300]), 4),
+    (make_traces([300, 450, 0, 0]), make_traces([300, 450, 865]), 3),
+    (make_traces([]), make_traces([300, 450]), 4),  # RA scan fails
+    (make_traces([]), make_traces([]), 4),          # both fail
+]
+
+
 class TestLabelFromInputs:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, 1.0])
     @pytest.mark.parametrize("ba_overhead_s", [0.5e-3, 5e-3, 250e-3])
@@ -118,16 +129,23 @@ class TestLabelFromInputs:
         config = GroundTruthConfig(
             alpha=alpha, ba_overhead_s=ba_overhead_s, frame_time_s=frame_time_s
         )
-        cases = [
-            (make_traces([300, 450, 865, 0, 0]), make_traces([300, 450, 865, 1300]), 4),
-            (make_traces([300, 450, 0, 0]), make_traces([300, 450, 865]), 3),
-            (make_traces([]), make_traces([300, 450]), 4),  # RA scan fails
-            (make_traces([]), make_traces([]), 4),          # both fail
-        ]
-        for same, best, initial_mcs in cases:
+        for same, best, initial_mcs in LABEL_CASES:
             inputs = label_inputs(same, best, initial_mcs)
-            assert label_from_inputs(inputs, config) == label_entry(
+            assert label_from_inputs(inputs, config) == reference.label_entry(
                 same, best, initial_mcs, config
+            )
+
+    @pytest.mark.parametrize("ba_overhead_s", [0.5e-3, 5e-3, 250e-3])
+    @pytest.mark.parametrize("frame_time_s", [2e-3, 10e-3])
+    def test_delays_match_trace_walk(self, ba_overhead_s, frame_time_s):
+        """Bitwise: the shipped delays follow the trace walk's operations."""
+        config = GroundTruthConfig(ba_overhead_s=ba_overhead_s, frame_time_s=frame_time_s)
+        for same, best, initial_mcs in LABEL_CASES:
+            assert recovery_delay_ra_s(same, best, initial_mcs, config) == (
+                reference.recovery_delay_ra_s(same, best, initial_mcs, config)
+            )
+            assert recovery_delay_ba_s(best, initial_mcs, config) == (
+                reference.recovery_delay_ba_s(best, initial_mcs, config)
             )
 
 

@@ -11,7 +11,7 @@ from repro.dataset.entry import Dataset
 from repro.env.geometry import Point, Segment
 from repro.env.placement import RadioPose
 from repro.env.rooms import Room
-from repro.phy.channel import ChannelState, LinkGeometry, trace_rays
+from repro.phy import ChannelState, LinkGeometry, trace_rays
 from repro.sim.engine import SimulationConfig, simulate_flow
 from repro.core.policies import RAFirstPolicy
 from repro.testbed.x60 import X60Link

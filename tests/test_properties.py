@@ -22,7 +22,7 @@ from repro.core.ground_truth import (
 from repro.core.rate_adaptation import RateAdaptation
 from repro.env.geometry import Point, Segment, mirror_point
 from repro.env.rooms import make_lobby
-from repro.phy.channel import LinkGeometry, trace_rays
+from repro.phy import LinkGeometry, trace_rays
 from repro.phy.error_model import best_throughput_mcs, codeword_delivery_ratio
 from repro.sim.vr import BandwidthProfile
 from repro.testbed.traces import McsTraces
